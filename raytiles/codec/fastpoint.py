@@ -111,210 +111,6 @@ def _zig32(v: np.ndarray) -> np.ndarray:
     return ((v << np.int64(1)) ^ (v >> np.int64(63))).astype(np.uint64)
 
 
-# ---------------------------------------------------------------------------
-# sectioned single-tile encode: a MEGA tile's wire bytes assembled from
-# independently-encodable sections. Feature messages are independent
-# given the layer's value-dictionary indices (the reference's Feature
-# messages carry only dict indices — Feature.hs:23-63 — and the layer
-# field order is name, features*, keys*, values*, extent, version —
-# Layer.hs:51-55), so the parent computes the dictionary ONCE
-# (vectorized, O(n) ints) and feature/value byte assembly — the
-# memory- and CPU-heavy part — runs per SECTION, in parallel tasks.
-# Stitched output is byte-identical to encode_point_tiles (tested).
-# ---------------------------------------------------------------------------
-
-
-def tile_value_dictionary(urls, midx: np.ndarray):
-    """First-appearance value dictionary of ONE tile over the
-    interleaved (url, mention_idx) stream — the exact order
-    encode_point_tiles derives for T=1 (and the reference's totalMeta
-    first-appearance rule, Internal.hs).
-
-    Returns (v_url, v_midx, u_codes, is_url_u, dict_arr):
-    per-feature dictionary indices (uint64), unique value codes in
-    dictionary order (2*url_code | 2*midx+1), the St mask over them,
-    and the distinct-url Arrow dictionary for payload extraction.
-    """
-    if isinstance(urls, pa.ChunkedArray):
-        urls = urls.combine_chunks()
-    if not isinstance(urls, pa.Array):
-        urls = pa.array(urls, pa.string())
-    if not pa.types.is_string(urls.type):
-        urls = urls.cast(pa.string())
-    denc = urls.dictionary_encode()
-    url_codes = denc.indices.to_numpy().astype(np.int64)
-    dict_arr = denc.dictionary
-    n = url_codes.size
-    inter_code = np.empty(2 * n, dtype=np.int64)
-    inter_code[0::2] = 2 * url_codes
-    inter_code[1::2] = 2 * midx.astype(np.int64) + 1
-    uniq, first_idx, inverse = np.unique(
-        inter_code, return_index=True, return_inverse=True)
-    ord_fa = np.argsort(first_idx, kind="stable")
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[ord_fa] = np.arange(uniq.size, dtype=np.int64)
-    vidx = rank[inverse]
-    v_url = vidx[0::2].astype(np.uint64)
-    v_midx = vidx[1::2].astype(np.uint64)
-    u_codes = uniq[ord_fa]
-    is_url_u = (u_codes % 2) == 0
-    return v_url, v_midx, u_codes, is_url_u, dict_arr
-
-
-def st_payload_for(dict_arr: pa.Array, st_codes: np.ndarray):
-    """(concatenated utf-8 payload bytes, per-string lengths) for a run
-    of dictionary codes — Arrow take gathers the bytes contiguously in
-    output order in C++."""
-    if st_codes.size == 0:
-        return b"", np.empty(0, np.int64)
-    taken = dict_arr.take(pa.array(st_codes, pa.int64()))
-    tb = taken.buffers()
-    toffs = np.frombuffer(tb[1], dtype=np.int32)[
-        taken.offset:taken.offset + len(taken) + 1].astype(np.int64)
-    payload = np.frombuffer(tb[2], dtype=np.uint8)[toffs[0]:toffs[-1]]
-    return payload.tobytes(), np.diff(toffs)
-
-
-def encode_feature_section(fid0: int, v_url: np.ndarray, v_midx: np.ndarray,
-                           lx: np.ndarray, ly: np.ndarray) -> bytes:
-    """Wire bytes of one RUN of feature messages (features [fid0,
-    fid0+n) of a tile), given global dictionary indices. Independent of
-    every other section — the parallel unit of the sectioned encode."""
-    n = v_url.size
-    if n == 0:
-        return b""
-    fid_u = (np.arange(n, dtype=np.int64) + fid0).astype(np.uint64)
-    len_fid = _varint_lengths(fid_u)
-    tags_vals = np.empty((n, 4), dtype=np.uint64)
-    tags_vals[:, 0] = 0
-    tags_vals[:, 1] = v_url
-    tags_vals[:, 2] = 1
-    tags_vals[:, 3] = v_midx
-    tags_flat = tags_vals.ravel()
-    len_tags_each = _varint_lengths(tags_flat).reshape(n, 4)
-    len_tags = len_tags_each.sum(axis=1)
-    geom_vals = np.empty((n, 3), dtype=np.uint64)
-    geom_vals[:, 0] = 9
-    geom_vals[:, 1] = _zig32(lx)
-    geom_vals[:, 2] = _zig32(ly)
-    geom_flat = geom_vals.ravel()
-    len_geom_each = _varint_lengths(geom_flat).reshape(n, 3)
-    len_geom = len_geom_each.sum(axis=1)
-    len_tags_len = _varint_lengths(len_tags.astype(np.uint64))
-    len_geom_len = _varint_lengths(len_geom.astype(np.uint64))
-    msg_len = (1 + len_fid + 1 + len_tags_len + len_tags
-               + 2 + 1 + len_geom_len + len_geom)
-    len_msg_len = _varint_lengths(msg_len.astype(np.uint64))
-    feat_total = 1 + len_msg_len + msg_len
-    feat_cum = np.concatenate([[0], np.cumsum(feat_total)])
-    buf = np.empty(int(feat_cum[-1]), dtype=np.uint8)
-    p = feat_cum[:-1]
-    buf[p] = 0x12
-    _write_varints(buf, p + 1, msg_len, len_msg_len)
-    q = p + 1 + len_msg_len
-    buf[q] = 0x08
-    _write_varints(buf, q + 1, fid_u, len_fid)
-    r = q + 1 + len_fid
-    buf[r] = 0x12
-    _write_varints(buf, r + 1, len_tags, len_tags_len)
-    tp = r + 1 + len_tags_len
-    tag_off = np.zeros((n, 4), dtype=np.int64)
-    tag_off[:, 1:] = np.cumsum(len_tags_each, axis=1)[:, :-1]
-    _write_varints(buf, (tp[:, None] + tag_off).ravel(), tags_flat,
-                   len_tags_each.ravel())
-    sbase = tp + len_tags
-    buf[sbase] = 0x18
-    buf[sbase + 1] = 0x01
-    buf[sbase + 2] = 0x22
-    _write_varints(buf, sbase + 3, len_geom, len_geom_len)
-    gp = sbase + 3 + len_geom_len
-    geom_off = np.zeros((n, 3), dtype=np.int64)
-    geom_off[:, 1:] = np.cumsum(len_geom_each, axis=1)[:, :-1]
-    _write_varints(buf, (gp[:, None] + geom_off).ravel(), geom_flat,
-                   len_geom_each.ravel())
-    return buf.tobytes()
-
-
-def encode_value_section(is_url: np.ndarray, st_payload: bytes,
-                         st_len: np.ndarray, iv: np.ndarray) -> bytes:
-    """Wire bytes of one RUN of Value messages in dictionary order:
-    is_url masks the run, st_payload/st_len carry the St strings'
-    concatenated utf-8, iv the I64 values. Independent per run."""
-    m = is_url.size
-    if m == 0:
-        return b""
-    st_len = st_len.astype(np.int64)
-    iv = iv.astype(np.uint64)
-    st_len_len = _varint_lengths(st_len.astype(np.uint64))
-    iv_len = _varint_lengths(iv)
-    inner_len = np.empty(m, dtype=np.int64)
-    inner_len[is_url] = 1 + st_len_len + st_len
-    inner_len[~is_url] = 1 + iv_len
-    inner_len_len = _varint_lengths(inner_len.astype(np.uint64))
-    val_total = 1 + inner_len_len + inner_len
-    val_cum = np.concatenate([[0], np.cumsum(val_total)])
-    buf = np.empty(int(val_cum[-1]), dtype=np.uint8)
-    vp = val_cum[:-1]
-    buf[vp] = 0x22
-    _write_varints(buf, vp + 1, inner_len, inner_len_len)
-    ip = vp + 1 + inner_len_len
-    st_ip = ip[is_url]
-    buf[st_ip] = 0x0A
-    _write_varints(buf, st_ip + 1, st_len, st_len_len)
-    if st_len.size:
-        dst = _ragged_target_idx(st_ip + 1 + st_len_len, st_len)
-        buf[dst] = np.frombuffer(st_payload, dtype=np.uint8)
-    iv_ip = ip[~is_url]
-    buf[iv_ip] = 0x20
-    _write_varints(buf, iv_ip + 1, iv, iv_len)
-    return buf.tobytes()
-
-
-def stitch_tile_sections(feat_parts: list[bytes], val_parts: list[bytes],
-                         extent: int = 4096, version: int = 2) -> bytes:
-    """Assemble the final tile message from section bytes in wire order
-    (Layer.hs:51-55): 1A <layer_len> <name> <features> <keys> <values>
-    <extent> <version>."""
-    keys_bytes = (wire.tag(3, wire.LEN) + wire.uvarint_encode(len(KEY_URL)) + KEY_URL
-                  + wire.tag(3, wire.LEN) + wire.uvarint_encode(len(KEY_MIDX)) + KEY_MIDX)
-    name_bytes = wire.tag(1, wire.LEN) + wire.uvarint_encode(len(LAYER_NAME)) + LAYER_NAME
-    tail_bytes = (wire.tag(5, wire.VARINT) + wire.uvarint_encode(extent)
-                  + wire.tag(15, wire.VARINT) + wire.uvarint_encode(version))
-    feat = b"".join(feat_parts)
-    val = b"".join(val_parts)
-    layer_len = len(name_bytes) + len(keys_bytes) + len(tail_bytes) \
-        + len(feat) + len(val)
-    return (wire.tag(3, wire.LEN) + wire.uvarint_encode(layer_len)
-            + name_bytes + feat + keys_bytes + val + tail_bytes)
-
-
-def encode_point_tile_sectioned(urls, midx: np.ndarray, lx: np.ndarray,
-                                ly: np.ndarray, extent: int = 4096,
-                                version: int = 2,
-                                section_features: int = 65_536) -> bytes:
-    """Serial reference of the sectioned path (the parallel dispatch
-    lives in pipeline.encode_stage): dictionary once, then sections.
-    Byte-identical to encode_point_tiles for T=1 (tested)."""
-    n = int(np.asarray(midx).size)
-    if n == 0:
-        return b""
-    v_url, v_midx, u_codes, is_url_u, dict_arr = tile_value_dictionary(urls, midx)
-    feat_parts = []
-    for a in range(0, n, section_features):
-        b = min(n, a + section_features)
-        feat_parts.append(encode_feature_section(
-            a, v_url[a:b], v_midx[a:b], lx[a:b], ly[a:b]))
-    val_parts = []
-    m = u_codes.size
-    for a in range(0, m, section_features):
-        b = min(m, a + section_features)
-        mask = is_url_u[a:b]
-        st_payload, st_len = st_payload_for(dict_arr, u_codes[a:b][mask] // 2)
-        iv = ((u_codes[a:b][~mask] - 1) // 2).astype(np.uint64)
-        val_parts.append(encode_value_section(mask, st_payload, st_len, iv))
-    return stitch_tile_sections(feat_parts, val_parts, extent, version)
-
-
 def encode_point_tiles(tile_offsets: np.ndarray,
                        urls: pd.Series,
                        midx: np.ndarray,

@@ -36,7 +36,7 @@ _STATE_CACHE: dict = {}
 def _cached_stage(key, factory):
     """Task-based stateful stage: build the (broadcast-backed) state
     once per worker process and reuse it across tasks — the
-    make_assign_fn pattern. An actor pool costs ~2s spin-up per
+    util.cached_ref pattern. An actor pool costs ~2s spin-up per
     execution here while these stages hold only small broadcast
     arrays.
 

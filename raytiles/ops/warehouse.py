@@ -11,8 +11,8 @@ Every query follows the engine's standing scale rules (SURVEY §2.2):
   groupby (or a bounded-partition hash join);
 - dimension tables (part, supplier, customer, nation, region) are
   driver-read, folded to flat numpy arrays, `ray.put` ONCE and looked
-  up via searchsorted inside worker-cached TASK functions (the
-  make_assign_fn idiom, see _cached_ref) — never shuffled, never
+  up via searchsorted inside worker-cached TASK functions
+  (util.cached_ref) — never shuffled, never
   re-shipped per batch, and never holding actor CPU slots that would
   starve the hash joins' aggregator actors on small clusters;
 - money is quantized to INT64 cents PER ROW (half-away-from-zero,

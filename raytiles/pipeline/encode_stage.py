@@ -1,12 +1,10 @@
-"""MVT encoder actor-pool stage: packed tile rows -> encoded tiles.
+"""MVT encoder stage: packed tile rows -> encoded tiles.
 
-A callable class for ``map_batches(MvtEncoder, batch_format="pyarrow",
-concurrency=N)`` — per-actor state (reused scratch buffers, layer
-template) set up once in __init__, per-batch work vectorized per tile
-(the per-tile command/varint assembly is numpy; the Python loop is
-over tiles in the batch, each of which is an independent MVT message
-by construction — no cross-tile state exists in the codec, mirroring
-the reference's per-tile purity, SURVEY §3.2).
+A callable for ``map_batches(FastPointEncoder(), batch_format="pyarrow")``:
+every tile in the batch is encoded in ONE numpy pass (codec.fastpoint).
+Each tile is an independent MVT message by construction — no cross-tile
+state exists in the codec, mirroring the reference's per-tile purity
+(SURVEY §3.2).
 """
 
 from __future__ import annotations
@@ -14,192 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
-from ..codec.encode import encode_tile
-from ..codec.fastpoint import (encode_feature_section, encode_point_tiles,
-                               encode_value_section, st_payload_for,
-                               stitch_tile_sections, tile_value_dictionary)
-from ..codec.model import I64V, ST, Feature, Layer, VectorTile
-
-LAYER_NAME = b"mentions"
-
-# Feature budget per nested encode chunk, and the batch-level feature
-# count above which the encode fans out to nested Ray tasks. The
-# shuffle's reducer blocks skew ~4x in features (a hot-city bucket
-# range is one block), and the fused merge->encode->write task for the
-# fattest block is the measured end-of-pipeline straggler (2.9x the
-# mean task). Fanning the encode of an abnormally fat batch out to
-# whole-tile chunks lets the tail straggler spend the cluster's
-# otherwise-idle CPUs; normal batches stay inline (no object-store
-# round trip). Tile granularity is preserved (a chunk is a run of
-# whole tiles), so output bytes are identical by construction.
-ENCODE_CHUNK_FEATURES = 131_072
-ENCODE_FANOUT_MIN_FEATURES = 2 * ENCODE_CHUNK_FEATURES
+from ..codec.fastpoint import encode_point_tiles
 
 
-@ray.remote(num_cpus=1)
-def _encode_point_chunk(tile_offsets: np.ndarray, urls, midx, lx, ly,
-                        extent: int, version: int) -> list[bytes]:
-    """One nested encode task: a run of WHOLE tiles from a fat batch.
-    Inputs are numpy views / Arrow slices of the parent's flat arrays
-    (pickled as just the sliced region)."""
-    return encode_point_tiles(tile_offsets, urls, midx, lx, ly,
-                              extent=extent, version=version)
-
-
-@ray.remote(num_cpus=1)
-def _encode_feature_section_task(fid0: int, v_url, v_midx, lx, ly) -> bytes:
-    """One sectioned-mega-tile feature run (numpy slices pickle as just
-    the sliced region)."""
-    return encode_feature_section(fid0, v_url, v_midx, lx, ly)
-
-
-@ray.remote(num_cpus=1)
-def _encode_value_section_task(is_url, st_payload: bytes, st_len, iv) -> bytes:
-    return encode_value_section(is_url, st_payload, st_len, iv)
-
-
-def _chunk_tile_cuts(tile_offsets: np.ndarray,
-                     target: int = ENCODE_CHUNK_FEATURES) -> np.ndarray:
-    """Tile-index cut points splitting a batch into runs of whole tiles
-    of ~target features each (a single mega-tile larger than target
-    stays one chunk — tile granularity is the floor)."""
-    T = tile_offsets.size - 1
-    total = int(tile_offsets[-1])
-    k = np.arange(1, total // target + 1, dtype=np.int64) * target
-    cut = np.unique(np.searchsorted(tile_offsets[1:], k, side="left") + 1)
-    cut = cut[cut < T]
-    return np.concatenate([[0], cut, [T]]).astype(np.int64)
-
-
-class MvtEncoder:
+class FastPointEncoder:
     """Packed tile rows {z,x,y, urls:list<str>, mention_idx:list<i32>,
     local_x:list<i32>, local_y:list<i32>} -> {z,x,y,mvt:binary,
-    n_features:int64,n_layers:int32}."""
+    n_features:int64,n_layers:int32}, byte-identical to the general
+    codec's encode_tile of the same one-layer point tile."""
 
     def __init__(self, extent: int = 4096, layer_version: int = 2) -> None:
         self.extent = extent
         self.version = layer_version
-
-    def encode_one(self, urls, midx, lx, ly) -> bytes:
-        feats = []
-        for i in range(len(urls)):
-            feats.append(Feature(
-                fid=i,
-                metadata={b"url": (ST, urls[i]),
-                          b"mention_idx": (I64V, int(midx[i]))},
-                geometry=np.array([[lx[i], ly[i]]], dtype=np.int64),
-            ))
-        layer = Layer(name=LAYER_NAME, version=self.version,
-                      extent=self.extent, points=feats)
-        return encode_tile(VectorTile({LAYER_NAME: layer}))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        mvts = []
-        n_features = np.empty(n, dtype=np.int64)
-        urls_col = batch["urls"]
-        midx_col = batch["mention_idx"]
-        lx_col = batch["local_x"]
-        ly_col = batch["local_y"]
-        for i in range(n):
-            urls = [u.encode("utf-8") for u in urls_col[i].as_py()]
-            midx = midx_col[i].values.to_numpy()
-            lx = lx_col[i].values.to_numpy()
-            ly = ly_col[i].values.to_numpy()
-            mvts.append(self.encode_one(urls, midx, lx, ly))
-            n_features[i] = len(urls)
-        return pa.table({
-            "z": batch["z"], "x": batch["x"], "y": batch["y"],
-            "mvt": pa.array(mvts, pa.binary()),
-            "n_features": pa.array(n_features, pa.int64()),
-            "n_layers": pa.array(np.ones(n, dtype=np.int32), pa.int32()),
-        })
-
-
-class FastPointEncoder:
-    """Batch-vectorized encoder for the flagship's point layers: ONE
-    numpy pass encodes every tile in the batch (codec.fastpoint),
-    byte-identical to MvtEncoder. Stateful actor per ray_guide: setup
-    (constants, buffers) once per actor."""
-
-    def __init__(self, extent: int = 4096, layer_version: int = 2,
-                 chunk_features: int = ENCODE_CHUNK_FEATURES) -> None:
-        self.extent = extent
-        self.version = layer_version
-        self.chunk_features = chunk_features
-
-    def _dispatch_sectioned(self, urls_slice, midx, lx, ly):
-        """Sectioned MEGA-tile encode: the parent computes the value
-        dictionary once (vectorized O(n) ints — the cheap part), then
-        feature-run and value-run byte assembly — the memory- and
-        CPU-heavy part — fans out to nested tasks in feature sections.
-        Wire layout permits it: Feature messages carry only dictionary
-        indices (reference Feature.hs:23-63) and layer field order is
-        fixed (Layer.hs:51-55). Returns (feat_refs, val_refs); stitch
-        with stitch_tile_sections. At 100x skew this bounds a task's
-        working set to one SECTION of the hottest tile instead of the
-        whole tile."""
-        v_url, v_midx, u_codes, is_url_u, dict_arr = \
-            tile_value_dictionary(urls_slice, midx)
-        sec = self.chunk_features
-        n = v_url.size
-        feat_refs = [_encode_feature_section_task.remote(
-            a, v_url[a:min(n, a + sec)], v_midx[a:min(n, a + sec)],
-            lx[a:min(n, a + sec)], ly[a:min(n, a + sec)])
-            for a in range(0, n, sec)]
-        val_refs = []
-        m = u_codes.size
-        for a in range(0, m, sec):
-            b = min(m, a + sec)
-            mask = is_url_u[a:b]
-            st_payload, st_len = st_payload_for(dict_arr, u_codes[a:b][mask] // 2)
-            iv = ((u_codes[a:b][~mask] - 1) // 2).astype(np.uint64)
-            val_refs.append(_encode_value_section_task.remote(
-                mask, st_payload, st_len, iv))
-        return feat_refs, val_refs
-
-    def _encode_fanout(self, tile_offsets, urls, midx, lx, ly) -> list[bytes]:
-        """Fan a fat batch's encode out to nested Ray tasks over runs
-        of whole tiles, gather in order. The parent releases its CPU
-        while blocked in ray.get, so the chunks fill the cluster's
-        idle slots — this is the straggler-tail fix for the hot-city
-        reducer block. A single MEGA tile (>= 2x chunk budget on its
-        own) is further SECTIONED across tasks (_dispatch_sectioned) —
-        without it one tile = one task, a latency tail and, at extreme
-        skew, a memory hazard. Byte-identical either way: whole-tile
-        chunks still run encode_point_tiles; sectioned tiles stitch the
-        same wire bytes (pinned by test_pipeline byte-equality)."""
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        cuts = _chunk_tile_cuts(tile_offsets, target=self.chunk_features)
-        jobs = []  # ("chunk", ref) | ("mega", (feat_refs, val_refs))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            fa, fb = int(tile_offsets[a]), int(tile_offsets[b])
-            # concat_arrays compacts the slice: a bare Arrow slice
-            # pickles its FULL underlying buffers (measured 10MB for a
-            # 64-element slice), which would re-ship the whole batch
-            # to every chunk task
-            urls_slice = pa.concat_arrays([urls.slice(fa, fb - fa)])
-            if b - a == 1 and fb - fa >= 2 * self.chunk_features:
-                jobs.append(("mega", self._dispatch_sectioned(
-                    urls_slice, midx[fa:fb], lx[fa:fb], ly[fa:fb])))
-            else:
-                jobs.append(("chunk", _encode_point_chunk.remote(
-                    tile_offsets[a:b + 1] - fa, urls_slice,
-                    midx[fa:fb], lx[fa:fb], ly[fa:fb],
-                    self.extent, self.version)))
-        out: list[bytes] = []
-        for kind, payload in jobs:
-            if kind == "chunk":
-                out.extend(ray.get(payload))
-            else:
-                feat_refs, val_refs = payload
-                out.append(stitch_tile_sections(
-                    ray.get(feat_refs), ray.get(val_refs),
-                    self.extent, self.version))
-        return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # NOTE: no lazy raytiles imports here — this body runs on ray
@@ -216,13 +41,8 @@ class FastPointEncoder:
         midx = pc.list_flatten(batch["mention_idx"]).to_numpy()
         lx = pc.list_flatten(batch["local_x"]).to_numpy()
         ly = pc.list_flatten(batch["local_y"]).to_numpy()
-        total = int(tile_offsets[-1])
-        if (self.chunk_features > 0 and total >= 2 * self.chunk_features
-                and ray.is_initialized()):
-            mvts = self._encode_fanout(tile_offsets, urls, midx, lx, ly)
-        else:
-            mvts = encode_point_tiles(tile_offsets, urls, midx, lx, ly,
-                                      extent=self.extent, version=self.version)
+        mvts = encode_point_tiles(tile_offsets, urls, midx, lx, ly,
+                                  extent=self.extent, version=self.version)
         return pa.table({
             "z": batch["z"], "x": batch["x"], "y": batch["y"],
             "mvt": pa.array(mvts, pa.binary()),

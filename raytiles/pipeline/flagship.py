@@ -6,8 +6,6 @@ caller owns the Ray session (never ray.init here — driver contract).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -17,25 +15,12 @@ import ray.data
 
 from ..geo import tilemath as tm
 from ..geo.parse import GeoParser
-from ..util import bucket_of
-from .encode_stage import FastPointEncoder, MvtEncoder
-from .stages import (TileAssigner, build_base_rtree, make_assign_fn,
-                     merge_tile_partials, pack_tile_partials)
+from ..util import bucket_of, input_bytes
+from .encode_stage import FastPointEncoder
+from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
+                     pack_tile_partials)
 
 DEFAULT_ZOOM = 12
-
-
-def _pool_size(concurrency, frac: float = 0.33):
-    """Default actor-pool size: autoscaling (cpus//8, ~cpus*frac).
-    The floor scales with the cluster so pools ramp immediately at
-    high parallelism, while the SUM of floors across the pipeline's
-    three pools stays under the CPU count (fixed equal pools deadlock
-    a small cluster: 3 pools x 2 actors > 4 CPUs leaves a stage with
-    no actor)."""
-    if concurrency is not None:
-        return concurrency
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return (max(1, cpus // 8), max(2, int(cpus * frac)))
 
 
 TARGET_BLOCK_BYTES = 96 << 20  # input bytes per read task (pre-explode)
@@ -62,18 +47,12 @@ def read_webpages(path: str, columns=("url", "text"),
     checkpointed tile_job runs shard-sized shuffles for exactly this
     reason)."""
     if num_blocks is None:
-        total = 0
-        if os.path.isdir(path):
-            with os.scandir(path) as it:
-                total = sum(e.stat().st_size for e in it if e.is_file())
-        elif os.path.isfile(path):
-            total = os.path.getsize(path)
-        num_blocks = min(512, max(64, total // TARGET_BLOCK_BYTES))
+        num_blocks = min(512, max(64, input_bytes(path) // TARGET_BLOCK_BYTES))
     return ray.data.read_parquet(path, columns=list(columns),
                                  override_num_blocks=num_blocks)
 
 
-def geoparse(ds: ray.data.Dataset, *, concurrency=None, batch_size: int = 4096) -> ray.data.Dataset:
+def geoparse(ds: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
     """documents -> exploded mention rows (url, mention_idx, lon, lat).
     Task-based (regex compiled once per worker process), Arrow
     end-to-end: the candidate prefilter runs pc.match_substring_regex
@@ -104,14 +83,11 @@ def geoparse(ds: ray.data.Dataset, *, concurrency=None, batch_size: int = 4096) 
 
 
 def assign(ds: ray.data.Dataset, zoom: int = DEFAULT_ZOOM, *,
-           concurrency=None, batch_size: int = 8192,
-           with_cells: bool = True) -> ray.data.Dataset:
-    """mention rows -> tile/cell assignments. The base-zoom R-tree is
-    built once on the driver and broadcast via ray.put; each worker
-    process ray.gets and caches it on first use (stages.make_assign_fn),
-    never re-shipped per batch."""
-    rtree_ref = ray.put(build_base_rtree())
-    return ds.map_batches(make_assign_fn(zoom, rtree_ref, with_cells=with_cells),
+           batch_size: int = 8192, with_cells: bool = True) -> ray.data.Dataset:
+    """mention rows -> tile/cell assignments by exact floor math
+    (stages.TileAssigner). Task-based: the assigner carries only its
+    zoom, extent and cell flag, so it ships by value with each task."""
+    return ds.map_batches(TileAssigner(zoom, with_cells=with_cells),
                           batch_format="pyarrow", batch_size=batch_size)
 
 
@@ -128,28 +104,16 @@ def aggregate_tiles(ds: ray.data.Dataset) -> ray.data.Dataset:
     guarantees — see merge_tile_partials), so per-group slicing +
     format conversion x 1024 groups is pure overhead.
 
-    GRAFT_AGG_SHUFFLE selects the exchange: "sort" (default; Ray's
-    sample + range-partition sort) or "hash" (hash-partition
-    repartition — streams through aggregator actors without the sort's
-    sample barrier, at the cost of actor-pool spin-up)."""
+    The exchange is a sort with explicit range boundaries over the
+    KNOWN bucket domain [0, N_MERGE_BUCKETS): that skips the sort's
+    sample stage (a barrier + one extra pass over every block's key
+    column), and since bucket ids are already a uniform hash, uniform
+    boundaries equal what sampling would estimate."""
     packed = ds.map_batches(pack_tile_partials, batch_format="pyarrow")
-    if os.environ.get("GRAFT_AGG_SHUFFLE", "sort") == "hash":
-        # NOTE: Datasets snapshot DataContext at creation — the caller
-        # must set shuffle_strategy=HASH_SHUFFLE before building the
-        # pipeline (tiles_pipeline does this when the env knob is set)
-        shuffled = packed.repartition(
-            num_blocks=_shuffle_width(), keys=["bucket"])
-    else:
-        # explicit range boundaries over the KNOWN bucket domain
-        # [0, N_MERGE_BUCKETS): skips the sort's sample stage (a
-        # barrier + one extra pass over every block's key column) —
-        # bucket ids are already a uniform hash, so uniform boundaries
-        # equal what sampling would estimate
-        from .stages import N_MERGE_BUCKETS
-        n_out = _shuffle_width()
-        step = N_MERGE_BUCKETS / n_out
-        bounds = [int(step * i) for i in range(1, n_out)]
-        shuffled = packed.sort("bucket", boundaries=bounds)
+    n_out = _shuffle_width()
+    step = N_MERGE_BUCKETS / n_out
+    bounds = [int(step * i) for i in range(1, n_out)]
+    shuffled = packed.sort("bucket", boundaries=bounds)
     return shuffled.map_batches(merge_tile_partials, batch_size=None,
                                 zero_copy_batch=True, batch_format="pyarrow")
 
@@ -162,60 +126,34 @@ def _shuffle_width() -> int:
     clusters; capped at the bucket domain (reducers receive whole
     buckets, so more reducers than buckets is useless)."""
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    from .stages import N_MERGE_BUCKETS
     return min(N_MERGE_BUCKETS, max(64, cpus))
 
 
-def encode_tiles(ds: ray.data.Dataset, *, concurrency=None,
-                 batch_size: int = 4096, extent: int = 4096) -> ray.data.Dataset:
-    """Packed tile rows -> {z,x,y,mvt,...} via the vectorized encoder.
+def encode_tiles(ds: ray.data.Dataset, *, batch_size: int = 4096,
+                 extent: int = 4096) -> ray.data.Dataset:
+    """Packed tile rows -> {z,x,y,mvt,...} via the vectorized encoder,
+    inline in each task (FastPointEncoder carries no state beyond its
+    config, so it ships by value with each task).
 
-    ``batch_size=4096`` (~55k features/call at sfbig12) beats both
-    whole-block batches and the nested-task fanout, MEASURED
-    (sfbig12/16cpu, interleaved A/B): 4096-inline 20.2s e2e vs
-    whole-block+fanout 24.7s. Chunked calls keep the kernel's working
-    set L3-sized, and the fanout's object-store round trips cost more
-    than the straggler they spread: the fat reducer block's inline
-    encode is only ~1.2s (and the hottest single tile ~0.5s), while
-    fanout doubled the reduce operator's CPU time (59.5s vs 27.3s
-    parent-side) and blocked the parent in ray.get for half its wall
-    time. Sub-tile fanout stays available via GRAFT_ENCODE_CHUNK for
-    genuinely mega single tiles (>=2x ENCODE_CHUNK_FEATURES).
-
-    Default is task-based (encoder instance cached per worker process):
-    on this single-node setup an actor pool costs ~2s spin-up per
-    execution (measured: a NOOP 28-actor pool = 1.7-2.1s) while the
-    encoder's per-actor state is just reusable buffers. Pass
-    ``concurrency=N`` to run the same class as a bounded actor pool —
-    the right choice when per-actor state is expensive (big models) or
-    memory must be capped per node."""
-    chunk = int(os.environ.get("GRAFT_ENCODE_CHUNK", "0")) or None
-    kwargs = {"extent": extent}
-    if chunk is not None:
-        kwargs["chunk_features"] = chunk  # <=0 disables the fanout path
-    if concurrency is not None:
-        return ds.map_batches(FastPointEncoder, batch_format="pyarrow",
-                              batch_size=batch_size, concurrency=concurrency,
-                              fn_constructor_kwargs=kwargs)
-    encoder = FastPointEncoder(**kwargs)
-
-    def encode_batch(batch):
-        return encoder(batch)
-
-    return ds.map_batches(encode_batch, batch_format="pyarrow", batch_size=batch_size)
+    ``batch_size=4096`` (~55k features/call at sfbig12) beats
+    whole-block batches, MEASURED (sfbig12/16cpu, interleaved A/B):
+    4096-inline 20.2s e2e vs whole-block + nested-task fanout 24.7s.
+    Chunked calls keep the kernel's working set L3-sized, and the fat
+    reducer block's inline encode is only ~1.2s (the hottest single
+    tile ~0.5s). Merge, encode and write run fused in one task, which
+    already holds the whole merged block, so splitting a fat tile's
+    encode would not lower that task's peak memory either."""
+    return ds.map_batches(FastPointEncoder(extent=extent),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM, *,
-                   parse_concurrency=None, encode_concurrency=None) -> ray.data.Dataset:
+def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:
     """Full pipeline, lazy — consume with write_parquet / iter_batches."""
-    if os.environ.get("GRAFT_AGG_SHUFFLE") == "hash":
-        from ray.data.context import DataContext, ShuffleStrategy
-        DataContext.get_current().shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     ds = read_webpages(webpages_path)
-    ds = geoparse(ds, concurrency=parse_concurrency)
+    ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)  # cells unused downstream
     ds = aggregate_tiles(ds)
-    return encode_tiles(ds, concurrency=encode_concurrency)
+    return encode_tiles(ds)
 
 
 def cell_counts_pipeline(webpages_path: str, res: int = 5,

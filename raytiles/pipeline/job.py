@@ -30,7 +30,7 @@ import ray
 from ..codec.fastpoint import encode_point_tiles
 from .checkpoint import finished_partitions, write_partition
 from .flagship import assign, geoparse, read_webpages
-from .stages import COARSE_SHIFT
+from .stages import COARSE_SHIFT, tile_bucket
 
 # FIXED on purpose (not derive_buckets): the bucket count IS the
 # checkpoint partition layout — a data-size-derived count would give
@@ -50,15 +50,11 @@ def stage_a(webpages_path: str, root: str, zoom: int = 12,
         return out_dir
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        cx = (b["x"].to_numpy() >> COARSE_SHIFT).astype(np.int64)
-        cy = (b["y"].to_numpy() >> COARSE_SHIFT).astype(np.int64)
-        z = b["z"].to_numpy().astype(np.int64)
-        # deterministic mix (splitmix-style), never Python hash()
-        k = ((z << np.int64(52)) | (cx << np.int64(26)) | cy).astype(np.uint64)
-        k = (k ^ (k >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        k ^= k >> np.uint64(33)
-        return b.append_column(
-            "bucket", pa.array((k % np.uint64(n_buckets)).astype(np.int64)))
+        # the flagship's tile mix over the COARSE key (z, x>>4, y>>4)
+        bucket = tile_bucket(b["z"].to_numpy(),
+                             b["x"].to_numpy() >> COARSE_SHIFT,
+                             b["y"].to_numpy() >> COARSE_SHIFT, n_buckets)
+        return b.append_column("bucket", pa.array(bucket))
 
     ds = read_webpages(webpages_path)
     ds = geoparse(ds)

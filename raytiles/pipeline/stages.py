@@ -2,23 +2,24 @@
 
 Stage graph (flagship, see pipeline.flagship):
 
-  read_parquet(webpages, max(64, 4*cpus) blocks)  [columns pruned; block
-                                                count scales with cluster]
+  read_parquet(webpages, 64..512 blocks)       [columns pruned; block
+                                                count derived from input size]
     -> map_batches(parse, arrow)               [tasks; regex over the raw
-                                                UTF-8 buffer, per-process cache]
-    -> map_batches(assign, arrow)              [tasks; broadcast R-tree via
-                                                ray.put, cached per process]
+                                                UTF-8 buffer]
+    -> map_batches(TileAssigner, arrow)        [tasks; floor math, no index]
     -> map_batches(pack_tile_partials, arrow)  [per-batch partial aggregate,
                                                 fat rows chunked at 512]
-    -> groupby(tile-hash bucket).map_groups    [the ONE shuffle, bounded
-       (merge_tile_partials)                    1024-key domain]
-    -> map_batches(FastPointEncoder, arrow)    [vectorized encoder; tasks by
-                                                default, actor pool opt-in]
+    -> sort(bucket, known boundaries)          [the ONE exchange, bounded
+                                                1024-key domain]
+    -> map_batches(merge_tile_partials,        [whole-block merge]
+                   batch_size=None)
+    -> map_batches(FastPointEncoder, arrow)    [tasks; inline vectorized
+                                                encode]
     -> write_parquet / collect
 
-The pack->groupby->merge split is the salted-two-phase aggregate of
+The pack->sort->merge split is the salted-two-phase aggregate of
 SURVEY §4.2: per-batch packing collapses mention rows to one compact
-row per (tile, batch) BEFORE the shuffle, the tile-hash bucket spreads
+row per (tile, batch) BEFORE the exchange, the tile-hash bucket spreads
 dense cities across reducers tile-by-tile, and the 512-feature row cap
 keeps any single reducer block's payload bounded.
 """
@@ -31,57 +32,24 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..geo import tilemath as tm
-from ..geo.rtree import PackedRTree
-
-RTREE_BASE_ZOOM = 6  # the broadcast R-tree indexes tile boundaries at this zoom
-
-
-def build_base_rtree(base_zoom: int = RTREE_BASE_ZOOM) -> tuple[PackedRTree, np.ndarray, np.ndarray]:
-    """R-tree over ALL tile boundaries at base_zoom (built once on the
-    driver, ray.put, read in every assigner's __init__)."""
-    n = 1 << base_zoom
-    tx, ty = np.meshgrid(np.arange(n), np.arange(n))
-    tx, ty = tx.ravel(), ty.ravel()
-    boxes = tm.tile_bounds(base_zoom, tx, ty)
-    return PackedRTree(boxes), tx.astype(np.int32), ty.astype(np.int32)
 
 
 class TileAssigner:
-    """Stateful assignment stage: holds the broadcast R-tree of
-    base-zoom tile boundaries (loaded once per actor in __init__) and
-    assigns each mention to its XYZ tile + tile-local coords + the
-    cell-index hierarchy res 0-9.
+    """Assignment stage: each mention -> its XYZ tile, tile-local
+    coords and (optionally) the cell-index hierarchy res 0-9.
 
-    The R-tree prunes candidate base tiles (vectorized containment);
-    exact assignment is the floor arithmetic of tilemath (boundary
-    points land in exactly one tile), then refined base->target zoom.
+    Pure floor arithmetic of tilemath, vectorized over the batch:
+    boundary points land in exactly one tile, so no spatial index is
+    consulted (tests/test_geo.py pins that the floor tile is always
+    among the R-tree hits of the unshrunk tile boxes). Stateless
+    beyond its config, so one instance ships by value to every task.
     """
 
-    def __init__(self, zoom: int, rtree_ref=None, extent: int = tm.DEFAULT_EXTENT,
+    def __init__(self, zoom: int, extent: int = tm.DEFAULT_EXTENT,
                  with_cells: bool = True) -> None:
         self.zoom = zoom
         self.extent = extent
         self.with_cells = with_cells  # cell_r0..r9 cost 10 int64 cols; skip when unused
-        if rtree_ref is not None:
-            import ray
-            self.rtree, self.base_tx, self.base_ty = ray.get(rtree_ref)
-        else:
-            self.rtree, self.base_tx, self.base_ty = build_base_rtree()
-
-    def _assign(self, lon: np.ndarray, lat: np.ndarray):
-        # coarse: R-tree candidates at base zoom; exact: floor math
-        bx, by = tm.lonlat_to_tile(lon, lat, RTREE_BASE_ZOOM)
-        pi, bi = self.rtree.query_points(lon, lat)
-        ok = (self.base_tx[bi] == bx[pi]) & (self.base_ty[bi] == by[pi])
-        # every point must have its floor-tile among the R-tree hits
-        covered = np.zeros(lon.size, dtype=bool)
-        covered[pi[ok]] = True
-        if not covered.all():
-            missing = int((~covered).sum())
-            raise AssertionError(f"R-tree missed {missing} points vs floor assignment")
-        x, y = tm.lonlat_to_tile(lon, lat, self.zoom)
-        lx, ly = tm.lonlat_to_local(lon, lat, self.zoom, x, y, self.extent)
-        return x, y, lx, ly
 
     def __call__(self, batch):
         """pa.Table (preferred: the url column passes through without
@@ -90,7 +58,8 @@ class TileAssigner:
         is_arrow = isinstance(batch, pa.Table)
         lon = batch["lon"].to_numpy()
         lat = batch["lat"].to_numpy()
-        x, y, lx, ly = self._assign(lon, lat)
+        x, y = tm.lonlat_to_tile(lon, lat, self.zoom)
+        lx, ly = tm.lonlat_to_local(lon, lat, self.zoom, x, y, self.extent)
         if is_arrow:
             cols = {
                 "url": batch["url"],
@@ -124,32 +93,6 @@ class TileAssigner:
         return out
 
 
-_ASSIGNER_CACHE: dict = {}
-
-
-def make_assign_fn(zoom: int, rtree_ref, extent: int = tm.DEFAULT_EXTENT,
-                   with_cells: bool = True):
-    """Task-based assignment: the broadcast R-tree (ray.put once on
-    the driver) is ray.get + built ONCE PER WORKER PROCESS via a
-    module-level cache, then every task on that worker reuses it —
-    the broadcast-small-side pattern without actor-pool spin-up.
-
-    The cache holds ONE entry (replaced when the key — which embeds
-    the per-execution broadcast ObjectRef — changes): per-execution
-    refs must not accumulate entries that pin stale R-trees in the
-    object store for the worker's lifetime."""
-    key = (zoom, extent, with_cells, rtree_ref.hex() if rtree_ref is not None else None)
-
-    def assign_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        entry = _ASSIGNER_CACHE.get("assign")
-        if entry is None or entry[0] != key:
-            entry = (key, TileAssigner(zoom, rtree_ref, extent, with_cells))
-            _ASSIGNER_CACHE["assign"] = entry
-        return entry[1](batch)
-
-    return assign_batch
-
-
 # ---------------------------------------------------------------------------
 # two-phase tile aggregation
 # ---------------------------------------------------------------------------
@@ -177,9 +120,6 @@ def tile_bucket(z: np.ndarray, x: np.ndarray, y: np.ndarray,
     k = (k ^ (k >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
     k ^= k >> np.uint64(33)
     return (k % np.uint64(n_buckets)).astype(np.int64)
-
-
-coarse_bucket = tile_bucket  # back-compat alias
 
 
 _PARTIAL_SCHEMA = pa.schema([
@@ -256,11 +196,10 @@ def merge_tile_partials(group: pa.Table) -> pa.Table:
     to the output list array.
 
     Runs per BLOCK, not per bucket group (map_batches(batch_size=None)
-    after the shuffle): correctness needs only that all partials of a
-    tile share a block, which both shuffle paths guarantee — the sort
-    never splits equal keys across partition boundaries (Ray's own
-    map_groups applies per-block group boundaries on that same
-    invariant) and hash partitioning is a pure function of the key.
+    after the exchange): correctness needs only that all partials of a
+    tile share a block, which the sort guarantees — it never splits
+    equal keys across partition boundaries (Ray's own map_groups
+    applies per-block group boundaries on that same invariant).
     Tiles are disjoint across buckets, so merging a multi-bucket block
     in one vectorized pass is equivalent to per-group calls without
     the ~0.2-0.5ms-per-group map_groups overhead x 1024 groups."""

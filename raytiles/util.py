@@ -34,11 +34,25 @@ def bucket_of(x, n_buckets: int) -> np.ndarray:
     return (splitmix64(x) % np.uint64(n_buckets)).astype(np.int64)
 
 
+def input_bytes(path: str) -> int:
+    """On-disk size of a table: the file's size, or the sum of the
+    regular files directly inside a directory. Local filesystem only:
+    a non-local path (s3://, gs://, ...) or a missing one sizes as 0,
+    so every size-derived layout (derive_buckets, the flagship's read
+    block count) silently falls back to its floor for it."""
+    if os.path.isdir(path):
+        with os.scandir(path) as it:
+            return sum(e.stat().st_size for e in it if e.is_file())
+    if os.path.isfile(path):
+        return os.path.getsize(path)
+    return 0
+
+
 def derive_buckets(path: str, floor: int = 256, cap: int = 1 << 20,
                    target_bytes: int = 32 << 20) -> int:
-    """Bounded-bucket count derived from INPUT SIZE — the flagship
-    read_webpages pattern (pipeline/flagship.py:44-75) applied to every
-    bucketed ``groupby("bucket").map_groups`` op: a FIXED bucket count
+    """Bounded-bucket count derived from INPUT SIZE (``input_bytes``),
+    the flagship read_webpages pattern applied to every bucketed
+    ``groupby("bucket").map_groups`` op: a FIXED bucket count
     means per-group block size grows linearly with input (256 buckets
     over 10^12 rows = ~4B rows in one group block), so instead the
     count scales so each bucket sees ~``target_bytes`` of compressed
@@ -59,13 +73,7 @@ def derive_buckets(path: str, floor: int = 256, cap: int = 1 << 20,
     forced = os.environ.get("RAYTILES_FORCE_BUCKETS")
     if forced:  # test hook: layout-invariance runs force a weird count
         return int(forced)
-    total = 0
-    if os.path.isdir(path):
-        with os.scandir(path) as it:
-            total = sum(e.stat().st_size for e in it if e.is_file())
-    elif os.path.isfile(path):
-        total = os.path.getsize(path)
-    return int(min(cap, max(floor, total // target_bytes)))
+    return int(min(cap, max(floor, input_bytes(path) // target_bytes)))
 
 
 def resolve_buckets(n_buckets, path: str, floor: int) -> int:
@@ -148,12 +156,10 @@ _REF_CACHE: dict = {}
 
 
 def cached_ref(ref):
-    """ray.get(ref) once per worker process — the make_assign_fn
-    worker-cache idiom (pipeline/stages.py:130) as a shared utility:
-    broadcast state rides plain TASK functions without actor-pool CPU
-    slots (which can starve hash-join aggregator actors on small
-    clusters). Bounded: at most 4 cached refs per worker, cleared
-    wholesale beyond that."""
+    """ray.get(ref) once per worker process: broadcast state rides
+    plain TASK functions without actor-pool CPU slots (which can
+    starve hash-join aggregator actors on small clusters). Bounded: at
+    most 4 cached refs per worker, cleared wholesale beyond that."""
     key = ref.hex()
     if key not in _REF_CACHE:
         if len(_REF_CACHE) >= 4:

@@ -214,6 +214,53 @@ def test_rtree_tile_assignment_equals_floor_math():
     assert got == want
 
 
+@pytest.mark.parametrize("z", [6, 8])
+def test_floor_tile_among_unshrunk_rtree_hits(z):
+    """The assign stage computes tiles by floor math alone, with no
+    spatial index. Over the UNSHRUNK tile boxes (edges inclusive), the
+    floor-math tile of every point is among the point's R-tree hits.
+    Covers random points, exact tile edges in lon and in lat,
+    lon = +-180 and the parser's latitude clamp lat = +-MAX_LAT."""
+    import pyarrow as pa
+
+    from raytiles.geo.parse import MAX_LAT
+    from raytiles.pipeline.stages import TileAssigner
+
+    n = 1 << z
+    rng = np.random.default_rng(17 + z)
+    edges = tm.tile_bounds(z, np.arange(n + 1), np.arange(n + 1))
+    lon_edges = edges[:, 0]           # every tile's west edge, -180..180
+    lat_edges = edges[:, 3]           # every tile's north edge, +-85.0511
+    k = n + 1
+    corners_lon = np.array([-180.0, 180.0, -180.0, 180.0, 0.0, 0.0, -180.0, 180.0])
+    corners_lat = np.array([MAX_LAT, MAX_LAT, -MAX_LAT, -MAX_LAT,
+                            MAX_LAT, -MAX_LAT, 0.0, 0.0])
+    lon = np.concatenate([rng.uniform(-180, 180, 3000),       # random
+                          lon_edges,                          # lon edges
+                          rng.uniform(-180, 180, k),          # lat edges
+                          corners_lon])                       # +-180, clamp
+    lat = np.concatenate([rng.uniform(-MAX_LAT, MAX_LAT, 3000),
+                          rng.uniform(-MAX_LAT, MAX_LAT, k),
+                          lat_edges,
+                          corners_lat])
+    batch = pa.table({"url": pa.array(["u"] * lon.size),
+                      "mention_idx": pa.array(np.zeros(lon.size, np.int32)),
+                      "lon": lon, "lat": lat})
+    out = TileAssigner(z, with_cells=False)(batch)
+    fx = out["x"].to_numpy().astype(np.int64)
+    fy = out["y"].to_numpy().astype(np.int64)
+
+    allx, ally = np.meshgrid(np.arange(n), np.arange(n))
+    allx, ally = allx.ravel(), ally.ravel()
+    tree = PackedRTree(tm.tile_bounds(z, allx, ally))
+    pi, bi = tree.query_points(lon, lat)
+    ok = (allx[bi] == fx[pi]) & (ally[bi] == fy[pi])
+    covered = np.zeros(lon.size, dtype=bool)
+    covered[pi[ok]] = True
+    missing = np.flatnonzero(~covered)
+    assert missing.size == 0, list(zip(lon[missing][:5], lat[missing][:5]))
+
+
 def test_points_in_polygon():
     ring = np.array([[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], dtype=np.float64)
     x = np.array([2.0, 5.0, -1.0, 3.9])

@@ -42,3 +42,16 @@ def test_job_resume_skips_buckets(ray_session, wp_path, tmp_path):
     os.remove(os.path.join(root, "stage_b", "manifest", "7.json"))
     summary = run_job(wp_path, root, 12, n_buckets=16)
     assert summary["skipped"] == 14 and summary["computed"] == 2
+
+
+def test_tile_bucket_pinned():
+    """tile_bucket IS the checkpoint partition layout (stage A buckets
+    rows by tile_bucket of the coarse key (z, x>>4, y>>4)). Pin it to
+    literal ids so any change to the mix shows up as a deliberate
+    layout change, not silent drift that orphans existing manifests."""
+    from raytiles.pipeline.stages import tile_bucket
+    z = np.array([0, 12, 12, 6, 14, 12])
+    cx = np.array([0, 655, 41, 3, 16383, 0])
+    cy = np.array([0, 1583, 98, 4, 16383, 4095])
+    assert tile_bucket(z, cx, cy, 64).tolist() == [0, 43, 2, 53, 12, 58]
+    assert tile_bucket(z, cx, cy).tolist() == [0, 171, 258, 565, 76, 186]

@@ -10,7 +10,7 @@ import pytest
 from raytiles.codec.decode import decode_tile
 from raytiles.geo import tilemath as tm
 from raytiles.geo.parse import GeoParser
-from raytiles.pipeline.encode_stage import MvtEncoder
+from raytiles.pipeline.encode_stage import FastPointEncoder
 from raytiles.pipeline.stages import merge_tile_partials, pack_tile_partials
 from raytiles.pipeline.synth import generate_webpages, webpages_path
 
@@ -64,16 +64,29 @@ def test_pack_merge_roundtrip(webpages_500):
 
 
 def test_encoder_roundtrip_small():
-    enc = MvtEncoder()
+    """FastPointEncoder's bytes equal the general codec's encode_tile
+    of the same one-layer point tile, and decode back to it."""
+    from raytiles.codec.encode import encode_tile
+    from raytiles.codec.model import I64V, ST, Feature, Layer, VectorTile
+    urls, midx = ["https://a/1", "https://b/2"], [0, 1]
+    lx, ly = [100, 4095], [0, 2048]
     batch = pa.table({
         "z": pa.array([12], pa.int32()), "x": pa.array([655], pa.int32()),
         "y": pa.array([1583], pa.int32()),
-        "urls": pa.array([["https://a/1", "https://b/2"]], pa.list_(pa.string())),
-        "mention_idx": pa.array([[0, 1]], pa.list_(pa.int32())),
-        "local_x": pa.array([[100, 4095]], pa.list_(pa.int32())),
-        "local_y": pa.array([[0, 2048]], pa.list_(pa.int32())),
+        "urls": pa.array([urls], pa.list_(pa.string())),
+        "mention_idx": pa.array([midx], pa.list_(pa.int32())),
+        "local_x": pa.array([lx], pa.list_(pa.int32())),
+        "local_y": pa.array([ly], pa.list_(pa.int32())),
     })
-    out = enc(batch)
+    out = FastPointEncoder()(batch)
+    feats = [Feature(fid=i,
+                     metadata={b"url": (ST, urls[i].encode()),
+                               b"mention_idx": (I64V, midx[i])},
+                     geometry=np.array([[lx[i], ly[i]]], dtype=np.int64))
+             for i in range(len(urls))]
+    want = encode_tile(VectorTile({b"mentions": Layer(
+        name=b"mentions", version=2, extent=4096, points=feats)}))
+    assert out["mvt"][0].as_py() == want
     assert out["n_features"][0].as_py() == 2
     tile = decode_tile(out["mvt"][0].as_py())
     layer = tile.layers[b"mentions"]
@@ -89,7 +102,6 @@ def test_fastpoint_encoder_large_string_parity():
     """FastPointEncoder must emit identical bytes when the urls list
     column arrives as list<large_string> (int64 offsets) — the
     dictionary raw-buffer path previously assumed int32 offsets."""
-    from raytiles.pipeline.encode_stage import FastPointEncoder
     batch = pa.table({
         "z": pa.array([12, 12], pa.int32()),
         "x": pa.array([655, 656], pa.int32()),
@@ -108,98 +120,6 @@ def test_fastpoint_encoder_large_string_parity():
     assert a["mvt"].to_pylist() == b["mvt"].to_pylist()
     assert decode_tile(a["mvt"][0].as_py()).layers[b"mentions"].points[0] \
         .metadata[b"url"] == ("St", b"https://a/1")
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_encoder_fanout_byte_equality():
-    """The fat-batch nested-task fanout must emit exactly the bytes of
-    the inline path: same tiles, same order, tile granularity
-    preserved across chunk cuts."""
-    from raytiles.pipeline import encode_stage
-    from raytiles.pipeline.encode_stage import FastPointEncoder, _chunk_tile_cuts
-    rng = np.random.default_rng(7)
-    n_tiles, per = 40, 37
-    urls, midx, lxs, lys = [], [], [], []
-    for t in range(n_tiles):
-        k = per + (t % 5)
-        urls.append([f"https://s{rng.integers(0, 9)}.example.com/p{i}" for i in range(k)])
-        midx.append(rng.integers(0, 50, k).tolist())
-        lxs.append(rng.integers(0, 4096, k).tolist())
-        lys.append(rng.integers(0, 4096, k).tolist())
-    batch = pa.table({
-        "z": pa.array([12] * n_tiles, pa.int32()),
-        "x": pa.array(list(range(n_tiles)), pa.int32()),
-        "y": pa.array([9] * n_tiles, pa.int32()),
-        "urls": pa.array(urls, pa.list_(pa.string())),
-        "mention_idx": pa.array(midx, pa.list_(pa.int32())),
-        "local_x": pa.array(lxs, pa.list_(pa.int32())),
-        "local_y": pa.array(lys, pa.list_(pa.int32())),
-    })
-    inline = FastPointEncoder()(batch)["mvt"].to_pylist()
-    # force the fanout path with a tiny chunk budget
-    offs = np.concatenate([[0], np.cumsum([len(u) for u in urls])]).astype(np.int64)
-    cuts = _chunk_tile_cuts(offs, target=100)
-    assert cuts.size > 3  # actually chunked
-    fan_enc = FastPointEncoder(chunk_features=100)
-    fanned = fan_enc(batch)["mvt"].to_pylist()  # __call__ takes the fanout branch
-    assert fanned == inline
-    # direct fanout call too (covers the slice-compaction path)
-    fan = fan_enc._encode_fanout(
-        offs, pa.array([u for row in urls for u in row], pa.string()),
-        np.array([m for row in midx for m in row], np.int64),
-        np.array([v for row in lxs for v in row], np.int64),
-        np.array([v for row in lys for v in row], np.int64))
-    assert fan == inline
-
-
-def test_sectioned_tile_byte_equality_serial():
-    """encode_point_tile_sectioned (dictionary once, independent
-    feature/value sections, wire-order stitch) must emit exactly the
-    bytes of the one-pass encoder for a single tile, at every section
-    size including 1 and >n."""
-    from raytiles.codec.fastpoint import (encode_point_tile_sectioned,
-                                          encode_point_tiles)
-    rng = np.random.default_rng(11)
-    n = 977
-    urls = pa.array([f"https://s{rng.integers(0, 5)}.example.com/"
-                     f"p{rng.integers(0, 150)}" for _ in range(n)], pa.string())
-    midx = rng.integers(0, 30, n).astype(np.int64)
-    lx = rng.integers(0, 4096, n).astype(np.int64)
-    ly = rng.integers(0, 4096, n).astype(np.int64)
-    ref = encode_point_tiles(np.array([0, n], np.int64), urls, midx, lx, ly)[0]
-    for sec in (1, 63, 256, n, 5 * n):
-        got = encode_point_tile_sectioned(urls, midx, lx, ly,
-                                          section_features=sec)
-        assert got == ref, f"section_features={sec}"
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_encoder_mega_tile_sectioned_fanout():
-    """A batch whose single tile exceeds 2x the chunk budget takes the
-    sectioned-mega-tile fanout (parallel feature/value section tasks,
-    stitched) and must still be byte-identical to the inline path."""
-    from raytiles.pipeline.encode_stage import FastPointEncoder
-    rng = np.random.default_rng(23)
-    k = 700  # one mega tile (>= 2 * chunk_features=100) + two normal tiles
-    urls = [[f"https://m{rng.integers(0, 11)}.example.com/q{i % 97}"
-             for i in range(k)],
-            ["https://a.example.com/1"] * 3,
-            [f"https://b.example.com/{i}" for i in range(5)]]
-    batch = pa.table({
-        "z": pa.array([12, 12, 12], pa.int32()),
-        "x": pa.array([100, 101, 102], pa.int32()),
-        "y": pa.array([50, 50, 50], pa.int32()),
-        "urls": pa.array(urls, pa.list_(pa.string())),
-        "mention_idx": pa.array([rng.integers(0, 20, len(u)).tolist()
-                                 for u in urls], pa.list_(pa.int32())),
-        "local_x": pa.array([rng.integers(0, 4096, len(u)).tolist()
-                             for u in urls], pa.list_(pa.int32())),
-        "local_y": pa.array([rng.integers(0, 4096, len(u)).tolist()
-                             for u in urls], pa.list_(pa.int32())),
-    })
-    inline = FastPointEncoder()(batch)["mvt"].to_pylist()
-    fanned = FastPointEncoder(chunk_features=100)(batch)["mvt"].to_pylist()
-    assert fanned == inline
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -42,6 +42,14 @@ elif kind == 'pack':
     })
     out = fn(batch)
     assert out.num_rows == 1
+elif kind == 'assign':
+    batch = pa.table({
+        'url': pa.array(['a', 'b']), 'mention_idx': pa.array([0, 1], pa.int32()),
+        'lon': pa.array([-122.4194, 180.0]), 'lat': pa.array([37.7749, -85.05]),
+    })
+    out = fn(batch)
+    assert out['x'].to_pylist() == [655, 4095], out['x']
+    assert out['y'].to_pylist() == [1583, 4095], out['y']
 print('OK')
 """
 
@@ -65,6 +73,13 @@ def test_encoder_ships_by_value():
         return enc(b)
 
     _roundtrip_in_clean_process(encode_batch, "encode")
+
+
+def test_assigner_ships_by_value():
+    """flagship.assign hands a plain TileAssigner instance to
+    map_batches, so the instance itself must ship to a clean process."""
+    from raytiles.pipeline.stages import TileAssigner
+    _roundtrip_in_clean_process(TileAssigner(12, with_cells=False), "assign")
 
 
 def test_parser_ships_by_value():
@@ -145,7 +160,7 @@ def test_derive_buckets_scaling(tmp_path):
     explicit override wins, env hook forces."""
     import os
 
-    from raytiles.util import derive_buckets, resolve_buckets
+    from raytiles.util import derive_buckets, input_bytes, resolve_buckets
 
     f = tmp_path / "t.parquet"
     f.write_bytes(b"x" * 1024)  # 1 KiB input
@@ -159,6 +174,12 @@ def test_derive_buckets_scaling(tmp_path):
     (d / "a").write_bytes(b"x" * 512)
     (d / "b").write_bytes(b"x" * 512)
     assert derive_buckets(str(d), floor=4, target_bytes=8) == 128
+    # the shared size scan: non-local or missing paths size as 0, so
+    # derivation (and the flagship's read block count) takes the floor
+    assert input_bytes(str(d)) == 1024
+    assert input_bytes("s3://bucket/webpages.parquet") == 0
+    assert input_bytes(str(tmp_path / "missing")) == 0
+    assert derive_buckets("s3://bucket/webpages.parquet", floor=7) == 7
     # resolve: explicit beats derivation
     assert resolve_buckets(17, str(f), 256) == 17
     assert resolve_buckets(None, str(f), 256) == 256
@@ -168,3 +189,21 @@ def test_derive_buckets_scaling(tmp_path):
         assert derive_buckets(str(f), floor=256) == 33
     finally:
         del os.environ["RAYTILES_FORCE_BUCKETS"]
+
+
+def test_env_knobs_pinned():
+    """Every environment variable the library reads is a setting
+    nobody tests by default. Pin the set: a new os.environ / os.getenv
+    read under raytiles/ must come with a deliberate edit here."""
+    import pathlib
+    import re
+    root = pathlib.Path(__file__).resolve().parent.parent / "raytiles"
+    key = re.compile(r"""(?:\.get)?\s*[\[(]\s*["']([^"']+)["']""")
+    names = set()
+    for p in sorted(root.rglob("*.py")):
+        text = p.read_text()
+        for m in re.finditer(r"os\.(?:environ|getenv)\b", text):
+            k = key.match(text, m.end())
+            names.add(k.group(1) if k else f"{p.name}:<non-literal key>")
+    assert names == {"RAYTILES_FORCE_BUCKETS"}, sorted(names)
+
