@@ -17,7 +17,6 @@ Internal.hs:339).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from . import wire
@@ -112,7 +111,7 @@ def _zig32(v: np.ndarray) -> np.ndarray:
 
 
 def encode_point_tiles(tile_offsets: np.ndarray,
-                       urls: pd.Series,
+                       urls: pa.Array | pa.ChunkedArray,
                        midx: np.ndarray,
                        lx: np.ndarray,
                        ly: np.ndarray,
@@ -122,7 +121,7 @@ def encode_point_tiles(tile_offsets: np.ndarray,
 
     tile_offsets: int64 (T+1,) feature spans per tile into the flat
     arrays (features already sorted (url, mention_idx) within tile);
-    urls: str Series (flat); midx/lx/ly: int arrays (flat).
+    urls: Arrow string array (flat); midx/lx/ly: int arrays (flat).
     Returns list of T mvt byte strings.
     """
     n = int(tile_offsets[-1])
@@ -134,28 +133,22 @@ def encode_point_tiles(tile_offsets: np.ndarray,
     # ---- per-tile value dictionaries (first-appearance order over the
     # interleaved url,midx stream) via pure integer factorization:
     # value identity = 2*url_code for St values, 2*midx+1 for I64.
-    # Arrow input stays Arrow: dictionary_encode runs in C++ and the
-    # distinct-url bytes/lengths come straight from the dictionary's
-    # offsets/values buffers — no Python string ever materializes ----
+    # The urls stay Arrow: dictionary_encode runs in C++ and the
+    # distinct-url lengths come straight from the dictionary's offsets
+    # buffer — no Python string ever materializes ----
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
-    if isinstance(urls, pa.Array):
-        if not pa.types.is_string(urls.type):
-            # large_string (int64 offsets) or a view type would garble
-            # the int32 raw-offsets read below — normalize to utf8
-            urls = urls.cast(pa.string())
-        denc = urls.dictionary_encode()
-        url_codes = denc.indices.to_numpy().astype(np.int64)
-        dict_arr = denc.dictionary
-        assert pa.types.is_string(dict_arr.type), dict_arr.type
-        u_offs = np.frombuffer(dict_arr.buffers()[1], dtype=np.int32)[
-            dict_arr.offset:dict_arr.offset + len(dict_arr) + 1].astype(np.int64)
-        dict_data = np.frombuffer(dict_arr.buffers()[2], dtype=np.uint8)
-        url_len_by_code_all = np.diff(u_offs)
-        url_uniques = None
-    else:
-        url_codes, url_uniques = pd.factorize(urls, sort=False)
-        dict_data = None
+    if not pa.types.is_string(urls.type):
+        # large_string (int64 offsets) or a view type would garble
+        # the int32 raw-offsets read below — normalize to utf8
+        urls = urls.cast(pa.string())
+    denc = urls.dictionary_encode()
+    url_codes = denc.indices.to_numpy().astype(np.int64)
+    dict_arr = denc.dictionary
+    assert pa.types.is_string(dict_arr.type), dict_arr.type
+    u_offs = np.frombuffer(dict_arr.buffers()[1], dtype=np.int32)[
+        dict_arr.offset:dict_arr.offset + len(dict_arr) + 1].astype(np.int64)
+    url_len_by_code = np.diff(u_offs)
     inter_code = np.empty(2 * n, dtype=np.int64)
     inter_code[0::2] = 2 * url_codes.astype(np.int64)
     inter_code[1::2] = 2 * midx.astype(np.int64) + 1
@@ -180,9 +173,6 @@ def encode_point_tiles(tile_offsets: np.ndarray,
     uniq_rows = first_idx[ord_fa]
     uniq_is_url = np.zeros(2 * n, dtype=bool)
     uniq_is_url[0::2] = True
-    # url payload bytes only for the distinct urls actually referenced
-    if dict_data is None:
-        uniq_url_bytes = pd.Series(url_uniques).str.encode("utf-8").to_numpy()
     vals_tile = inter_tile[uniq_rows]
 
     # ---- wire pieces as flat streams ----
@@ -223,13 +213,7 @@ def encode_point_tiles(tile_offsets: np.ndarray,
     is_url_u = uniq_is_url[uniq_rows]
     u_codes = inter_code[uniq_rows]
     st_codes = u_codes[is_url_u] // 2
-    if dict_data is None:
-        url_len_by_code = np.fromiter((len(b) for b in uniq_url_bytes),
-                                      np.int64, count=len(uniq_url_bytes))
-        st_payload = uniq_url_bytes[st_codes]
-        st_len = url_len_by_code[st_codes]
-    else:
-        st_len = url_len_by_code_all[st_codes]
+    st_len = url_len_by_code[st_codes]
     st_len_len = _varint_lengths(st_len.astype(np.uint64))
     iv = ((u_codes[~is_url_u] - 1) // 2).astype(np.int64).astype(np.uint64)
     iv_len = _varint_lengths(iv)
@@ -307,18 +291,15 @@ def encode_point_tiles(tile_offsets: np.ndarray,
     st_data_starts = st_ip + 1 + st_len_len
     if st_codes.size:
         dst = _ragged_target_idx(st_data_starts, st_len)
-        if dict_data is None:
-            buf[dst] = np.frombuffer(b"".join(st_payload.tolist()), np.uint8)
-        else:
-            # Arrow take concatenates the payload bytes CONTIGUOUSLY in
-            # output order — one gather in C++ instead of a second
-            # ragged source-index build over every payload byte
-            taken = dict_arr.take(pa.array(st_codes, pa.int64()))
-            tb = taken.buffers()
-            toffs = np.frombuffer(tb[1], dtype=np.int32)
-            lo = toffs[taken.offset]
-            hi = toffs[taken.offset + len(taken)]
-            buf[dst] = np.frombuffer(tb[2], dtype=np.uint8)[lo:hi]
+        # Arrow take concatenates the payload bytes CONTIGUOUSLY in
+        # output order — one gather in C++ instead of a second ragged
+        # source-index build over every payload byte
+        taken = dict_arr.take(pa.array(st_codes, pa.int64()))
+        tb = taken.buffers()
+        toffs = np.frombuffer(tb[1], dtype=np.int32)
+        lo = toffs[taken.offset]
+        hi = toffs[taken.offset + len(taken)]
+        buf[dst] = np.frombuffer(tb[2], dtype=np.uint8)[lo:hi]
     iv_ip = ip[~is_url_u]
     buf[iv_ip] = 0x20
     _write_varints(buf, iv_ip + 1, iv, iv_len)

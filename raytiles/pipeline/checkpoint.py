@@ -1,25 +1,21 @@
-"""Per-partition checkpointing with lineage + metrics, and
-resume-by-skipping-completed-partitions (north_rule: "resumable from
-checkpoint with per-partition lineage + metrics").
+"""Per-partition checkpointing with lineage + metrics: the caller
+(pipeline.job's stage B, one partition per bucket) publishes each
+finished partition with ``write_partition`` and resumes by skipping
+the pids ``finished_partitions`` lists.
 
 Layout (one directory per run):
 
     <root>/
-      partition=<pid>/            # one directory per input partition
+      partition=<pid>/            # one directory per partition
         data.parquet              # that partition's output rows
       manifest/
         <pid>.json                # atomic (tmp+rename) lineage record
 
 A partition's manifest record is written ONLY after its data file is
 fully written and renamed into place, so a killed job can never leave
-a manifest entry pointing at partial data. Resume = read the manifest
-directory, skip every finished pid, recompute the rest. Records carry
-lineage (input fingerprint) and metrics (rows in/out, bytes, wall
-seconds) — the judge-visible audit trail of what each partition did.
-
-At cluster scale the same layout shards by key range instead of block
-index; the manifest stays one tiny JSON per partition, listable in
-O(partitions) from any node.
+a manifest entry pointing at partial data. Records carry lineage
+(input fingerprint) and metrics (rows in/out, bytes, wall seconds) —
+the audit trail of what each partition did.
 """
 
 from __future__ import annotations
@@ -27,12 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data
 
 
@@ -87,81 +81,6 @@ def write_partition(root: str, pid: int, input_table: pa.Table,
         json.dump(rec, fh)
     os.replace(mtmp, os.path.join(mdir, f"{pid}.json"))
     return rec
-
-
-def _invalidate(root: str) -> None:
-    """Drop every manifest record and partition dir — used when the
-    partition layout changed (stale pid-indexed outputs would
-    otherwise mix with fresh ones)."""
-    mdir = os.path.join(root, "manifest")
-    shutil.rmtree(mdir, ignore_errors=True)
-    for d in os.listdir(root):
-        if d.startswith("partition="):
-            shutil.rmtree(os.path.join(root, d), ignore_errors=True)
-
-
-def run_partitioned(ds: ray.data.Dataset, transform, root: str,
-                    num_partitions: int = 64) -> dict:
-    """Run ``transform`` (pa.Table -> pa.Table) over ``ds`` split into
-    ``num_partitions`` blocks, checkpointing each partition; resumes
-    by skipping partitions already in the manifest.
-
-    Resume safety: a manifest record is trusted only when BOTH the
-    run-level partition count matches (else the whole checkpoint root
-    is invalidated — pid-indexed outputs from a different layout are
-    meaningless) AND the partition's recomputed input fingerprint
-    equals the recorded one (else that partition is recomputed and
-    overwritten — the input changed under the checkpoint). A verified
-    skip costs one fingerprint over an already-materialized block,
-    never a transform.
-
-    Returns summary metrics {partitions, skipped, rows_out, ...}.
-    Each partition is an independent Ray task — failures re-run only
-    their own partition on the next invocation.
-    """
-    os.makedirs(root, exist_ok=True)
-    run_meta_path = os.path.join(root, "manifest", "_run.json")
-    if os.path.exists(run_meta_path):
-        with open(run_meta_path) as fh:
-            prev = json.load(fh)
-        if prev.get("num_partitions") != num_partitions:
-            _invalidate(root)
-    done = finished_partitions(root)
-    blocks = ds.repartition(num_partitions).to_arrow_refs()
-    mdir = os.path.join(root, "manifest")
-    os.makedirs(mdir, exist_ok=True)
-    tmp = run_meta_path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"num_partitions": num_partitions}, fh)
-    os.replace(tmp, run_meta_path)
-
-    @ray.remote
-    def do_partition(pid: int, block_ref, expected_fp: str | None) -> dict:
-        t0 = time.time()
-        table = block_ref if isinstance(block_ref, pa.Table) else ray.get(block_ref)
-        if expected_fp is not None and _fingerprint(table) == expected_fp:
-            return {"verified_skip": True, "partition_id": pid}
-        out = transform(table)
-        return write_partition(root, pid, table, out, t0)
-
-    futures = [
-        do_partition.remote(pid, block,
-                            done[pid]["input_fingerprint"] if pid in done else None)
-        for pid, block in enumerate(blocks)
-    ]
-    recs = ray.get(futures)
-    skipped = sum(1 for r in recs if r.get("verified_skip"))
-    computed = [r for r in recs if not r.get("verified_skip")]
-    all_recs = [done[r["partition_id"]] for r in recs if r.get("verified_skip")] \
-        + computed
-    return {
-        "partitions": len(all_recs),
-        "skipped": skipped,
-        "computed": len(computed),
-        "rows_in": sum(r["rows_in"] for r in all_recs),
-        "rows_out": sum(r["rows_out"] for r in all_recs),
-        "bytes_out": sum(r["bytes_out"] for r in all_recs),
-    }
 
 
 def read_output(root: str) -> ray.data.Dataset:

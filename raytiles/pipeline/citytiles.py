@@ -62,11 +62,7 @@ def encode_point_line_batch(batch: pa.Table,
     lines = encode_trajectories(batch, simplify_tolerance)
     n = pts.num_rows
     if n == 0:
-        return pa.table({
-            "z": pa.array([], pa.int32()), "x": pa.array([], pa.int32()),
-            "y": pa.array([], pa.int32()), "mvt": pa.array([], pa.binary()),
-            "n_features": pa.array([], pa.int64()),
-            "n_layers": pa.array([], pa.int32())})
+        return pts  # already typed {z, x, y, mvt, n_features, n_layers}
     kz = pts["z"].to_numpy().astype(np.int64)
     kx = pts["x"].to_numpy().astype(np.int64)
     ky = pts["y"].to_numpy().astype(np.int64)

@@ -27,7 +27,6 @@ keeps any single reducer block's payload bounded.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -51,53 +50,35 @@ class TileAssigner:
         self.extent = extent
         self.with_cells = with_cells  # cell_r0..r9 cost 10 int64 cols; skip when unused
 
-    def __call__(self, batch):
-        """pa.Table (preferred: the url column passes through without
-        ever materializing Python strings) or pd.DataFrame; output
-        type matches input."""
-        is_arrow = isinstance(batch, pa.Table)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """The url column passes through without ever materializing
+        Python strings."""
         lon = batch["lon"].to_numpy()
         lat = batch["lat"].to_numpy()
         x, y = tm.lonlat_to_tile(lon, lat, self.zoom)
         lx, ly = tm.lonlat_to_local(lon, lat, self.zoom, x, y, self.extent)
-        if is_arrow:
-            cols = {
-                "url": batch["url"],
-                "mention_idx": pa.array(
-                    batch["mention_idx"].to_numpy().astype(np.int32), pa.int32()),
-                "lon": pa.array(lon, pa.float64()),
-                "lat": pa.array(lat, pa.float64()),
-            }
-            if self.with_cells:
-                for r in range(10):
-                    cols[f"cell_r{r}"] = pa.array(tm.cell_id(lon, lat, r), pa.int64())
-            cols["z"] = pa.array(np.full(lon.size, self.zoom, np.int32), pa.int32())
-            cols["x"] = pa.array(x, pa.int32())
-            cols["y"] = pa.array(y, pa.int32())
-            cols["local_x"] = pa.array(lx, pa.int32())
-            cols["local_y"] = pa.array(ly, pa.int32())
-            return pa.table(cols)
-        out = pd.DataFrame({
-            "url": batch["url"].to_numpy(),
-            "mention_idx": batch["mention_idx"].to_numpy().astype(np.int32),
-            "lon": lon, "lat": lat,
-        })
+        cols = {
+            "url": batch["url"],
+            "mention_idx": pa.array(
+                batch["mention_idx"].to_numpy().astype(np.int32), pa.int32()),
+            "lon": pa.array(lon, pa.float64()),
+            "lat": pa.array(lat, pa.float64()),
+        }
         if self.with_cells:
             for r in range(10):
-                out[f"cell_r{r}"] = tm.cell_id(lon, lat, r)
-        out["z"] = np.int32(self.zoom)
-        out["x"] = x
-        out["y"] = y
-        out["local_x"] = lx
-        out["local_y"] = ly
-        return out
+                cols[f"cell_r{r}"] = pa.array(tm.cell_id(lon, lat, r), pa.int64())
+        cols["z"] = pa.array(np.full(lon.size, self.zoom, np.int32), pa.int32())
+        cols["x"] = pa.array(x, pa.int32())
+        cols["y"] = pa.array(y, pa.int32())
+        cols["local_x"] = pa.array(lx, pa.int32())
+        cols["local_y"] = pa.array(ly, pa.int32())
+        return pa.table(cols)
 
 
 # ---------------------------------------------------------------------------
 # two-phase tile aggregation
 # ---------------------------------------------------------------------------
 
-COARSE_SHIFT = 4   # coarse cells (kept for the checkpointed job's layout)
 N_MERGE_BUCKETS = 1024  # phase-2 shuffle key domain (bounded group count).
                         # Finer domains were measured and DON'T help: the
                         # merge straggler is the single hottest city tile
@@ -124,7 +105,7 @@ def tile_bucket(z: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 _PARTIAL_SCHEMA = pa.schema([
     ("bucket", pa.int64()),
-    ("z", pa.int32()), ("cx", pa.int32()), ("cy", pa.int32()),
+    ("z", pa.int32()),
     ("x", pa.list_(pa.int32())), ("y", pa.list_(pa.int32())),
     ("urls", pa.list_(pa.string())),
     ("mention_idx", pa.list_(pa.int32())),
@@ -170,13 +151,10 @@ def pack_tile_partials(batch: pa.Table) -> pa.Table:
             extra.append(np.arange(starts[i] + MAX_PACK, run_ends[i], MAX_PACK))
         starts = np.sort(np.concatenate([starts] + extra))
     offsets = np.concatenate([starts, [len(z)]]).astype(np.int32)
-    urls = batch["urls" if "urls" in batch.column_names else "url"] \
-        .combine_chunks().take(pa.array(order))
+    urls = batch["url"].combine_chunks().take(pa.array(order))
     return pa.table({
         "bucket": pa.array(tile_bucket(z[starts], x[starts], y[starts]), pa.int64()),
         "z": pa.array(z[starts], pa.int32()),
-        "cx": pa.array(x[starts] >> COARSE_SHIFT, pa.int32()),
-        "cy": pa.array(y[starts] >> COARSE_SHIFT, pa.int32()),
         "x": _list_col(x, offsets, pa.int32()),
         "y": _list_col(y, offsets, pa.int32()),
         "urls": pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), urls),

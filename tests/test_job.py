@@ -4,6 +4,8 @@ and kill/resume semantics at the bucket level."""
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from raytiles.pipeline import checkpoint as cp
@@ -23,10 +25,27 @@ def test_job_matches_streaming_flagship(ray_session, wp_path, tmp_path):
     root = str(tmp_path / "job")
     summary = run_job(wp_path, root, 12, n_buckets=16)
     assert summary["computed"] == 16
+    # manifests carry lineage + metrics for every bucket
+    recs = cp.finished_partitions(os.path.join(root, "stage_b"))
+    assert sorted(recs) == list(range(16))
+    for rec in recs.values():
+        assert rec["status"] == "done" and rec["input_fingerprint"]
+        assert rec["rows_in"] > 0 and rec["rows_out"] > 0
+        assert rec["bytes_out"] > 0 and rec["wall_sec"] >= 0
+    assert sum(r["rows_out"] for r in recs.values()) == summary["tiles"]
+    # every publish is tmp + rename: nothing half-written is left
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            assert not f.endswith(".tmp"), os.path.join(dirpath, f)
+    # the job writes the flagship's own output schema
+    want_ds = tiles_pipeline(wp_path, 12)
+    want_schema = pa.schema(zip(want_ds.schema().names, want_ds.schema().types))
+    for pid in recs:
+        path = os.path.join(root, "stage_b", f"partition={pid}", "data.parquet")
+        assert pq.read_schema(path).remove_metadata() == want_schema
     got = cp.read_output(os.path.join(root, "stage_b")).to_pandas() \
         .sort_values(["z", "x", "y"]).reset_index(drop=True)
-    want = tiles_pipeline(wp_path, 12).to_pandas() \
-        .sort_values(["z", "x", "y"]).reset_index(drop=True)
+    want = want_ds.to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
     assert len(got) == len(want)
     assert np.array_equal(got["x"].to_numpy(), want["x"].to_numpy())
     assert np.array_equal(got["n_features"].to_numpy(), want["n_features"].to_numpy())
@@ -42,6 +61,33 @@ def test_job_resume_skips_buckets(ray_session, wp_path, tmp_path):
     os.remove(os.path.join(root, "stage_b", "manifest", "7.json"))
     summary = run_job(wp_path, root, 12, n_buckets=16)
     assert summary["skipped"] == 14 and summary["computed"] == 2
+
+
+def test_stage_a_reruns_on_changed_arguments(ray_session, wp_path, tmp_path):
+    """stage A's marker records its arguments: a rerun with another
+    zoom or bucket count recomputes both stages instead of resuming
+    output made for the old arguments; the same arguments resume with
+    nothing recomputed."""
+    from raytiles.pipeline.job import run_job
+    root = str(tmp_path / "job")
+    first = run_job(wp_path, root, 12, n_buckets=16)
+    assert run_job(wp_path, root, 12, n_buckets=16)["computed"] == 0
+
+    summary = run_job(wp_path, root, 8, n_buckets=16)
+    assert summary["skipped"] == 0 and summary["computed"] > 0
+    tiles = cp.read_output(os.path.join(root, "stage_b")).to_pandas()
+    assert len(tiles) == summary["tiles"] and set(tiles["z"]) == {8}
+
+    summary = run_job(wp_path, root, 12, n_buckets=64)
+    assert summary["skipped"] == 0
+    assert summary["tiles"] == first["tiles"]
+    # one partition per bucket that got rows, none for the others
+    written = os.listdir(os.path.join(root, "stage_a"))
+    assert summary["partitions"] == summary["computed"] == len(written) <= 64
+    recs = cp.finished_partitions(os.path.join(root, "stage_b"))
+    assert all(rec["rows_in"] > 0 for rec in recs.values())
+    assert set(cp.read_output(os.path.join(root, "stage_b"))
+               .to_pandas()["z"]) == {12}
 
 
 def test_tile_bucket_pinned():

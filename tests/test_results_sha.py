@@ -52,3 +52,15 @@ def test_published_file_covers_all_queries():
     assert not missing, f"queries missing from RESULTS_SHA.json: {missing}"
     errored = [n for n, v in published.items() if "md5" not in v]
     assert not errored, f"queries published with errors: {errored}"
+
+
+def test_readme_registry_counts():
+    """README's layout table states the registry's size; keep it the
+    count of queries() and oracle_sql(), not a hand-kept number."""
+    import re
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as entrymod
+    with open(os.path.join(REPO, "README.md")) as f:
+        stated = re.findall(r"\((\d+) queries, (\d+) DuckDB oracles\)", f.read())
+    assert stated == [(str(len(entrymod.queries())),
+                       str(len(entrymod.oracle_sql())))]
