@@ -107,7 +107,10 @@ def stage_b(root: str) -> dict:
         out = encoder(merge_tile_partials(pack_tile_partials(table)))
         return write_partition(b_root, pid, table, out, t0)
 
-    pids = [int(d.split("=", 1)[1]) for d in os.listdir(a_dir) if d.startswith("bucket=")]
+    # sorted: listdir order is the filesystem's (creation order on some),
+    # and the submission order decides which bucket straggles at the end
+    pids = sorted(int(d.split("=", 1)[1]) for d in os.listdir(a_dir)
+                  if d.startswith("bucket="))
     recs = ray.get([do_bucket.remote(pid) for pid in pids if pid not in done])
     all_recs = list(done.values()) + recs
     return {"partitions": len(all_recs), "skipped": len(done),
