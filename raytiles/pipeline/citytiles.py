@@ -39,6 +39,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..util import input_bytes, layout
 from .encode_stage import FastPointEncoder
 from .flagship import aggregate_tiles, assign, geoparse, read_webpages
 from .overlay import mvt_concat_merge
@@ -102,10 +103,11 @@ def city_tiles_pipeline(webpages_path: str, zoom: int = 6,
     merge is meaningful. zoom defaults to the trajectory face's 6
     (multi-mention docs usually land in one ~600 km tile; the hull
     cover fan-out stays <= 4^6)."""
+    _, reducers = layout(input_bytes(webpages_path))
     ds = read_webpages(webpages_path)
     ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)
-    merged = aggregate_tiles(ds)
+    merged = aggregate_tiles(ds, reducers)
     encoder = FastPointEncoder()
 
     def enc(b: pa.Table) -> pa.Table:

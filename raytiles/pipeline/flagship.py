@@ -15,7 +15,7 @@ import ray.data
 
 from ..geo import tilemath as tm
 from ..geo.parse import GeoParser
-from ..util import bucket_of, input_bytes
+from ..util import bucket_of, input_bytes, layout
 from .encode_stage import FastPointEncoder
 from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
                      pack_tile_partials)
@@ -23,33 +23,18 @@ from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
 DEFAULT_ZOOM = 12
 
 
-TARGET_BLOCK_BYTES = 96 << 20  # input bytes per read task (pre-explode)
-
-
-def read_webpages(path: str, columns=("url", "text"),
-                  num_blocks: int | None = None) -> ray.data.Dataset:
+def read_webpages(path: str, columns=("url", "text")) -> ray.data.Dataset:
     """Prune at the read: the flagship needs only url + text (html and
     lang stay in storage).
 
-    ``num_blocks`` caps the read task count — and with it the fused
-    read->parse->assign->pack chain's OUTPUT block count, which is the
-    width of the downstream sort shuffle. The sort's all-to-all cost
-    grows ~QUADRATICALLY in that width (M mapper blocks x R reducers
-    object transfers; measured on the same 5.4M-doc input at 16 cpus:
-    32 blocks -> 0.49s shuffle, 64 -> 1.33s, 128 -> 3.73s), so the
-    default derives the count from the INPUT SIZE (bounded ~96MB of
-    input per block), not from the cluster: the same dataset gets the
-    same layout at every cluster size (cpu-scaled counts made the 4N
-    leg pay 16x the shuffle objects of the N leg), and block size
-    stays bounded as data grows. Floor 64 keeps map-phase granularity
-    (>=2 tasks/cpu up to 32 cpus); cap 512 bounds the M x R explosion
-    on huge single-shuffle inputs — beyond that, shard the job (the
-    checkpointed tile_job runs shard-sized shuffles for exactly this
-    reason)."""
-    if num_blocks is None:
-        num_blocks = min(512, max(64, input_bytes(path) // TARGET_BLOCK_BYTES))
+    The read task count is ``util.layout``'s read-block count for the
+    input's on-disk size, and with it the output block count of the
+    fused read->parse->assign->pack chain, which is the map width of
+    the downstream sort exchange: the same input gets the same layout
+    at every cluster size."""
+    read_blocks, _ = layout(input_bytes(path))
     return ray.data.read_parquet(path, columns=list(columns),
-                                 override_num_blocks=num_blocks)
+                                 override_num_blocks=read_blocks)
 
 
 def geoparse(ds: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
@@ -91,12 +76,19 @@ def assign(ds: ray.data.Dataset, zoom: int = DEFAULT_ZOOM, *,
                           batch_format="pyarrow", batch_size=batch_size)
 
 
-def aggregate_tiles(ds: ray.data.Dataset) -> ray.data.Dataset:
+def aggregate_tiles(ds: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
     """Two-phase tile aggregation: per-batch partial pack into per-tile
     rows capped at 512 features (no shuffle), then ONE shuffle keyed by
     bucket = splitmix(z,x,y) % 1024 (bounded key domain; city skew
     spreads across buckets tile-by-tile), then a whole-block merge that
     re-splits into per-tile packed rows with pure offset arithmetic.
+
+    ``reducers`` is the exchange's output block count: callers pass
+    ``util.layout``'s reducer count for their input, so it follows the
+    input's size and never the cluster's. The encoded tiles do not
+    depend on it (a tile's partials always meet in one block). It is
+    capped at the bucket domain: reducers receive whole buckets, so
+    more reducers than buckets is useless.
 
     The merge is map_batches(batch_size=None) over the shuffle's output
     blocks, NOT groupby().map_groups(): the merge only needs all
@@ -110,23 +102,12 @@ def aggregate_tiles(ds: ray.data.Dataset) -> ray.data.Dataset:
     column), and since bucket ids are already a uniform hash, uniform
     boundaries equal what sampling would estimate."""
     packed = ds.map_batches(pack_tile_partials, batch_format="pyarrow")
-    n_out = _shuffle_width()
+    n_out = min(N_MERGE_BUCKETS, reducers)
     step = N_MERGE_BUCKETS / n_out
     bounds = [int(step * i) for i in range(1, n_out)]
     shuffled = packed.sort("bucket", boundaries=bounds)
     return shuffled.map_batches(merge_tile_partials, batch_size=None,
                                 zero_copy_batch=True, batch_format="pyarrow")
-
-
-def _shuffle_width() -> int:
-    """Reducer count for the tile exchange. Floor 64 keeps the SAME
-    layout at every cluster size up to 64 cpus (a cpu-scaled count
-    gives the 4N leg a different shuffle than the N leg — measured as
-    a direct efficiency hit), rising to one reducer per CPU on bigger
-    clusters; capped at the bucket domain (reducers receive whole
-    buckets, so more reducers than buckets is useless)."""
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return min(N_MERGE_BUCKETS, max(64, cpus))
 
 
 def encode_tiles(ds: ray.data.Dataset, *, batch_size: int = 4096,
@@ -149,10 +130,11 @@ def encode_tiles(ds: ray.data.Dataset, *, batch_size: int = 4096,
 
 def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:
     """Full pipeline, lazy — consume with write_parquet / iter_batches."""
+    _, reducers = layout(input_bytes(webpages_path))
     ds = read_webpages(webpages_path)
     ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)  # cells unused downstream
-    ds = aggregate_tiles(ds)
+    ds = aggregate_tiles(ds, reducers)
     return encode_tiles(ds)
 
 
@@ -210,6 +192,7 @@ def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
     flagship directly at base_zoom - d — pinned by test. Fan-out is
     the bounded factor ``levels``; everything downstream reuses the
     flagship's shuffle discipline unchanged."""
+    _, reducers = layout(input_bytes(webpages_path))
     ds = geoparse(read_webpages(webpages_path))
     ds = assign(ds, base_zoom, with_cells=False)
 
@@ -234,7 +217,7 @@ def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
         return pa.concat_tables(parts)
 
     rep = ds.map_batches(replicate, batch_format="pyarrow")
-    return encode_tiles(aggregate_tiles(rep))
+    return encode_tiles(aggregate_tiles(rep, reducers))
 
 
 def iceberg_cells_pipeline(webpages_path: str, res: int = 5,

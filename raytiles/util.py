@@ -38,8 +38,8 @@ def input_bytes(path: str) -> int:
     """On-disk size of a table: the file's size, or the sum of the
     regular files directly inside a directory. Local filesystem only:
     a non-local path (s3://, gs://, ...) or a missing one sizes as 0,
-    so every size-derived layout (derive_buckets, the flagship's read
-    block count) silently falls back to its floor for it."""
+    which every size-derived layout treats as unsized: derive_buckets
+    takes its floor and ``layout`` its fixed 64-block layout."""
     if os.path.isdir(path):
         with os.scandir(path) as it:
             return sum(e.stat().st_size for e in it if e.is_file())
@@ -48,10 +48,48 @@ def input_bytes(path: str) -> int:
     return 0
 
 
+TARGET_BLOCK_BYTES = 96 << 20  # input bytes per read block at scale
+MIN_BLOCK_BYTES = 4 << 20      # input bytes per read block below 64 blocks
+MAX_REDUCERS = 64
+
+
+def layout(nbytes: int) -> tuple[int, int]:
+    """(read blocks, reducers) for an input of ``nbytes`` on-disk
+    bytes — a pure function of input size, never of the cluster, so
+    the same dataset gets the same layout at every cluster size
+    (cpu-scaled counts made the 4N leg pay 16x the shuffle objects of
+    the N leg).
+
+    - Large inputs (>= 64 x TARGET_BLOCK_BYTES): ~96 MiB of input per
+      block, capped at 512 blocks — the layout the recorded scaling
+      runs used. Beyond the cap, shard the job (the checkpointed
+      tile_job runs shard-sized shuffles for exactly this reason).
+    - Smaller inputs: one block per started MIN_BLOCK_BYTES, at most
+      64. A fixed 64-block floor cut a 5 MB input into 64 x 64 tiny
+      exchange objects whose per-block Ray cost dwarfed the kernels;
+      4 MiB won a sweep of {256 KiB, 1 MiB, 4 MiB} over the
+      perfbench workloads and sf0.1 at 2 and 4 cpus (CHANGES.md).
+    - Unsized inputs (``nbytes == 0``: a non-local or missing path,
+      see ``input_bytes``) keep the fixed (64, 64) layout, so an
+      s3:// corpus never runs as one task.
+
+    Reducers are ``min(64, read_blocks)``: the sort exchange costs
+    ~M x R object transfers (measured at 5.4M docs, 16 cpus: 32
+    blocks -> 0.49 s shuffle, 64 -> 1.33 s, 128 -> 3.73 s), and no
+    input needs more reducers than it has blocks."""
+    if nbytes <= 0:
+        return MAX_REDUCERS, MAX_REDUCERS
+    if nbytes >= 64 * TARGET_BLOCK_BYTES:
+        blocks = min(512, nbytes // TARGET_BLOCK_BYTES)
+    else:
+        blocks = min(64, -(-nbytes // MIN_BLOCK_BYTES))
+    return blocks, min(MAX_REDUCERS, blocks)
+
+
 def derive_buckets(path: str, floor: int = 256, cap: int = 1 << 20,
                    target_bytes: int = 32 << 20) -> int:
     """Bounded-bucket count derived from INPUT SIZE (``input_bytes``),
-    the flagship read_webpages pattern applied to every bucketed
+    the size-derived-layout idea of ``layout`` applied to every bucketed
     ``groupby("bucket").map_groups`` op: a FIXED bucket count
     means per-group block size grows linearly with input (256 buckets
     over 10^12 rows = ~4B rows in one group block), so instead the

@@ -9,7 +9,11 @@ then CSV with float_format="%.17g" (round-trip-exact float64) and md5
 over the UTF-8 bytes. Queries are deterministic (fixed seeds), so the
 hash is stable run to run on the same inputs.
 
-Usage: python scripts/publish_hashes.py [sf_dir] [name ...]
+Usage: python scripts/publish_hashes.py [--check] [sf_dir] [name ...]
+
+``--check`` hashes the named queries (default: all), prints each one
+whose entry differs from RESULTS_SHA.json and exits 1 if any does. It
+never writes the file.
 """
 
 from __future__ import annotations
@@ -61,6 +65,18 @@ def canonical_md5(df) -> str:
     return hashlib.md5(csv.encode("utf-8")).hexdigest()
 
 
+def hash_query(fn, sf_dir: str) -> dict:
+    """RESULTS_SHA.json entry of one query: rows, sorted column names
+    and canonical md5, or the error it raised."""
+    try:
+        df = to_pandas(fn(sf_dir))
+        md5 = canonical_md5(df)
+    except Exception as e:  # noqa: BLE001
+        return {"error": f"{type(e).__name__}: {e}"}
+    return {"rows": int(len(df)), "cols": sorted(map(str, df.columns)),
+            "md5": md5}
+
+
 def main() -> None:
     import ray
     if not ray.is_initialized():
@@ -69,41 +85,46 @@ def main() -> None:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    args = sys.argv[1:]
+    check = "--check" in args
+    args = [a for a in args if a != "--check"]
+    sf_dir = args[0] if args else "/root/testdata/sf0.01"
+    only = set(args[1:])
     out_path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "RESULTS_SHA.json")
 
     import __ray_entry__ as entrymod
     qs = entrymod.queries()
 
-    results = {}
-    if only and os.path.exists(out_path):  # partial refresh keeps the rest
+    recorded = {}
+    if os.path.exists(out_path):
         with open(out_path) as f:
-            results = json.load(f).get("queries", {})
+            recorded = json.load(f).get("queries", {})
+    # a partial refresh keeps the other entries
+    results = dict(recorded) if only and not check else {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
         t0 = time.time()
-        try:
-            df = to_pandas(fn(sf_dir))
-            md5 = canonical_md5(df)
-        except Exception as e:  # noqa: BLE001
-            results[name] = {"error": f"{type(e).__name__}: {e}"}
-            print(f"{name:24s} ERROR {e}")
-            continue
-        results[name] = {"rows": int(len(df)),
-                         "cols": sorted(map(str, df.columns)),
-                         "md5": md5}
-        print(f"{name:24s} rows={len(df):7d} md5={results[name]['md5']}"
-              f"  ({time.time()-t0:4.1f}s)")
+        results[name] = got = hash_query(fn, sf_dir)
+        if "error" in got:
+            print(f"{name:24s} ERROR {got['error']}")
+        else:
+            print(f"{name:24s} rows={got['rows']:7d} md5={got['md5']}"
+                  f"  ({time.time()-t0:4.1f}s)")
+    ray.shutdown()
+    if check:
+        differ = [n for n in results if results[n] != recorded.get(n)]
+        for n in differ:
+            print(f"DIFFERS {n}: recorded {recorded.get(n)} got {results[n]}")
+        print(f"checked {len(results)} queries, {len(differ)} differ")
+        sys.exit(1 if differ else 0)
     with open(out_path, "w") as f:
         json.dump({"sf_dir": sf_dir,
                    "normalization": "sorted cols, sorted rows, bytes->hex32,"
                                     " csv float %.17g, md5 utf-8",
                    "queries": dict(sorted(results.items()))}, f, indent=1)
     print(f"wrote {out_path} ({len(results)} queries)")
-    ray.shutdown()
 
 
 if __name__ == "__main__":

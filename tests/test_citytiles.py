@@ -148,16 +148,18 @@ def test_concat_merge_equals_decode_merge(tmp_path):
                                             geoparse, read_webpages)
     from raytiles.pipeline.overlay import mvt_concat_merge, mvt_merge_layers
     from raytiles.pipeline.polytiles import polygon_tiles_pipeline
+    from raytiles.util import input_bytes, layout
 
     table = generate_webpages(500)
     path = str(tmp_path / "webpages.parquet")
     pq.write_table(table, path)
 
     enc = FastPointEncoder()
+    _, reducers = layout(input_bytes(path))
 
     def two_layer():
         ds = aggregate_tiles(assign(geoparse(read_webpages(path)), 6,
-                                    with_cells=False))
+                                    with_cells=False), reducers)
         return ds.map_batches(
             lambda b: encode_point_line_batch(b, 0.0, enc),
             batch_format="pyarrow", batch_size=4096)

@@ -175,7 +175,7 @@ def test_derive_buckets_scaling(tmp_path):
     (d / "b").write_bytes(b"x" * 512)
     assert derive_buckets(str(d), floor=4, target_bytes=8) == 128
     # the shared size scan: non-local or missing paths size as 0, so
-    # derivation (and the flagship's read block count) takes the floor
+    # derivation takes the floor (and util.layout its unsized layout)
     assert input_bytes(str(d)) == 1024
     assert input_bytes("s3://bucket/webpages.parquet") == 0
     assert input_bytes(str(tmp_path / "missing")) == 0
