@@ -39,9 +39,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..util import input_bytes, layout
 from .encode_stage import FastPointEncoder
-from .flagship import aggregate_tiles, assign, geoparse, read_webpages
+from .flagship import aggregate_tiles, assign, geoparse, read_sized
 from .overlay import mvt_concat_merge
 from .polytiles import polygon_tiles_pipeline
 from .trajectories import encode_trajectories
@@ -103,8 +102,7 @@ def city_tiles_pipeline(webpages_path: str, zoom: int = 6,
     merge is meaningful. zoom defaults to the trajectory face's 6
     (multi-mention docs usually land in one ~600 km tile; the hull
     cover fan-out stays <= 4^6)."""
-    _, reducers = layout(input_bytes(webpages_path))
-    ds = read_webpages(webpages_path)
+    ds, reducers = read_sized(webpages_path)
     ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)
     merged = aggregate_tiles(ds, reducers)

@@ -32,9 +32,19 @@ def read_webpages(path: str, columns=("url", "text")) -> ray.data.Dataset:
     fused read->parse->assign->pack chain, which is the map width of
     the downstream sort exchange: the same input gets the same layout
     at every cluster size."""
-    read_blocks, _ = layout(input_bytes(path))
-    return ray.data.read_parquet(path, columns=list(columns),
-                                 override_num_blocks=read_blocks)
+    return read_sized(path, columns)[0]
+
+
+def read_sized(path: str, columns=("url", "text")
+               ) -> tuple[ray.data.Dataset, int]:
+    """``read_webpages`` plus ``util.layout``'s reducer count for the
+    same input, from one size scan: every pipeline that runs
+    ``aggregate_tiles`` reads through this, so its exchange width
+    always belongs to the input it read."""
+    read_blocks, reducers = layout(input_bytes(path))
+    ds = ray.data.read_parquet(path, columns=list(columns),
+                               override_num_blocks=read_blocks)
+    return ds, reducers
 
 
 def geoparse(ds: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
@@ -84,11 +94,9 @@ def aggregate_tiles(ds: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
     re-splits into per-tile packed rows with pure offset arithmetic.
 
     ``reducers`` is the exchange's output block count: callers pass
-    ``util.layout``'s reducer count for their input, so it follows the
-    input's size and never the cluster's. The encoded tiles do not
-    depend on it (a tile's partials always meet in one block). It is
-    capped at the bucket domain: reducers receive whole buckets, so
-    more reducers than buckets is useless.
+    the count ``read_sized`` returned for their input, so it follows
+    the input's size and never the cluster's. The encoded tiles do not
+    depend on it (a tile's partials always meet in one block).
 
     The merge is map_batches(batch_size=None) over the shuffle's output
     blocks, NOT groupby().map_groups(): the merge only needs all
@@ -102,9 +110,8 @@ def aggregate_tiles(ds: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
     column), and since bucket ids are already a uniform hash, uniform
     boundaries equal what sampling would estimate."""
     packed = ds.map_batches(pack_tile_partials, batch_format="pyarrow")
-    n_out = min(N_MERGE_BUCKETS, reducers)
-    step = N_MERGE_BUCKETS / n_out
-    bounds = [int(step * i) for i in range(1, n_out)]
+    step = N_MERGE_BUCKETS / reducers
+    bounds = [int(step * i) for i in range(1, reducers)]
     shuffled = packed.sort("bucket", boundaries=bounds)
     return shuffled.map_batches(merge_tile_partials, batch_size=None,
                                 zero_copy_batch=True, batch_format="pyarrow")
@@ -130,8 +137,7 @@ def encode_tiles(ds: ray.data.Dataset, *, batch_size: int = 4096,
 
 def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:
     """Full pipeline, lazy — consume with write_parquet / iter_batches."""
-    _, reducers = layout(input_bytes(webpages_path))
-    ds = read_webpages(webpages_path)
+    ds, reducers = read_sized(webpages_path)
     ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)  # cells unused downstream
     ds = aggregate_tiles(ds, reducers)
@@ -192,9 +198,8 @@ def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
     flagship directly at base_zoom - d — pinned by test. Fan-out is
     the bounded factor ``levels``; everything downstream reuses the
     flagship's shuffle discipline unchanged."""
-    _, reducers = layout(input_bytes(webpages_path))
-    ds = geoparse(read_webpages(webpages_path))
-    ds = assign(ds, base_zoom, with_cells=False)
+    ds, reducers = read_sized(webpages_path)
+    ds = assign(geoparse(ds), base_zoom, with_cells=False)
 
     def replicate(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy().astype(np.int64)

@@ -23,8 +23,7 @@ from ..codec.encode import encode_tile
 from ..codec.fastshape import encode_trajectory_tiles
 from ..codec.model import I64V, ST, Feature, Layer, VectorTile
 from ..geo.simplify import simplify_ragged
-from ..util import input_bytes, layout
-from .flagship import aggregate_tiles, assign, geoparse, read_webpages
+from .flagship import aggregate_tiles, assign, geoparse, read_sized
 
 LAYER = b"trajectories"
 
@@ -133,8 +132,7 @@ def trajectories_pipeline(webpages_path: str, zoom: int = 6,
     """Low zoom (z=6 tile ~ 600 km) so multi-mention documents usually
     land their mentions in one tile. ``simplify_tolerance`` > 0 runs
     Douglas-Peucker per linestring before encoding."""
-    _, reducers = layout(input_bytes(webpages_path))
-    ds = read_webpages(webpages_path)
+    ds, reducers = read_sized(webpages_path)
     ds = geoparse(ds)
     ds = assign(ds, zoom, with_cells=False)
     merged = aggregate_tiles(ds, reducers)

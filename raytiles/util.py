@@ -50,7 +50,7 @@ def input_bytes(path: str) -> int:
 
 TARGET_BLOCK_BYTES = 96 << 20  # input bytes per read block at scale
 MIN_BLOCK_BYTES = 4 << 20      # input bytes per read block below 64 blocks
-MAX_REDUCERS = 64
+MAX_REDUCERS = 64  # <= stages.N_MERGE_BUCKETS: reducers get whole buckets
 
 
 def layout(nbytes: int) -> tuple[int, int]:
@@ -66,9 +66,11 @@ def layout(nbytes: int) -> tuple[int, int]:
       tile_job runs shard-sized shuffles for exactly this reason).
     - Smaller inputs: one block per started MIN_BLOCK_BYTES, at most
       64. A fixed 64-block floor cut a 5 MB input into 64 x 64 tiny
-      exchange objects whose per-block Ray cost dwarfed the kernels;
-      4 MiB won a sweep of {256 KiB, 1 MiB, 4 MiB} over the
-      perfbench workloads and sf0.1 at 2 and 4 cpus (CHANGES.md).
+      exchange objects whose per-block Ray cost dwarfed the kernels.
+      In a sweep of 256 KiB..16 MiB on one core (CHANGES.md), 4 MiB
+      was fastest on the 5.5 MB flagship input; 8 MiB was faster on
+      the 10.7 MB tile job and 53 MB sf0.1, but halves the blocks a
+      many-core host can run at once, which one core cannot measure.
     - Unsized inputs (``nbytes == 0``: a non-local or missing path,
       see ``input_bytes``) keep the fixed (64, 64) layout, so an
       s3:// corpus never runs as one task.

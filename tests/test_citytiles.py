@@ -145,21 +145,20 @@ def test_concat_merge_equals_decode_merge(tmp_path):
     from raytiles.pipeline.citytiles import encode_point_line_batch
     from raytiles.pipeline.encode_stage import FastPointEncoder
     from raytiles.pipeline.flagship import (aggregate_tiles, assign,
-                                            geoparse, read_webpages)
+                                            geoparse, read_sized)
     from raytiles.pipeline.overlay import mvt_concat_merge, mvt_merge_layers
     from raytiles.pipeline.polytiles import polygon_tiles_pipeline
-    from raytiles.util import input_bytes, layout
 
     table = generate_webpages(500)
     path = str(tmp_path / "webpages.parquet")
     pq.write_table(table, path)
 
     enc = FastPointEncoder()
-    _, reducers = layout(input_bytes(path))
 
     def two_layer():
-        ds = aggregate_tiles(assign(geoparse(read_webpages(path)), 6,
-                                    with_cells=False), reducers)
+        ds, reducers = read_sized(path)
+        ds = aggregate_tiles(assign(geoparse(ds), 6, with_cells=False),
+                             reducers)
         return ds.map_batches(
             lambda b: encode_point_line_batch(b, 0.0, enc),
             batch_format="pyarrow", batch_size=4096)

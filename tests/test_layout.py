@@ -13,8 +13,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from raytiles.util import (MIN_BLOCK_BYTES, TARGET_BLOCK_BYTES, input_bytes,
-                           layout)
+from raytiles.util import (MAX_REDUCERS, MIN_BLOCK_BYTES, TARGET_BLOCK_BYTES,
+                           input_bytes, layout)
 
 
 def _sizes() -> list[int]:
@@ -42,6 +42,9 @@ def test_large_inputs_keep_recorded_layout():
 
 
 def test_layout_monotone_and_reducers_bounded():
+    from raytiles.pipeline.stages import N_MERGE_BUCKETS
+
+    assert MAX_REDUCERS <= N_MERGE_BUCKETS
     prev = (0, 0)
     for n in _sizes():
         blocks, reducers = layout(n)
