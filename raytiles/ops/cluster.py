@@ -134,11 +134,6 @@ def kmeans(sf_dir: str, k: int = 16, iters: int = 5) -> ray.data.Dataset:
                           batch_format="pyarrow")
 
 
-def kmeans_centroids(sf_dir: str, k: int = 16, iters: int = 5) -> np.ndarray:
-    """The converged centroid matrix (driver-side helper for tests)."""
-    return _lloyd(_emb(sf_dir), _init_centroids(sf_dir, k), iters)
-
-
 def _plant_neardups(t: pa.Table, n_planted: int, dim: int) -> pa.Table:
     """Deterministic planted near-duplicates (the lsh_neardup gate
     pattern): for vec_id < n_planted, append a copy with id + 10^6 and

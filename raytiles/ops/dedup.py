@@ -47,7 +47,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, pair_key
+from ..util import bucket_of, pair_key, sum_by_key
 from .text import TOKEN_RE
 
 # fixed xor constants deriving the i-th minhash permutation from one md5
@@ -70,19 +70,6 @@ def _join_partitions() -> int:
     4-cpu test cluster deadlocks waiting for actor slots)."""
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     return max(2, min(32, cpus))
-
-
-def _sum_by_key2(key: np.ndarray, *vals: np.ndarray):
-    """(unique sorted keys, per-key sums) via argsort + add.reduceat —
-    the Arrow-native bucket-merge kernel (ops.relational._sum_by_key
-    twin, local so worker closures capture it by value)."""
-    order = np.argsort(key, kind="stable")
-    k = key[order]
-    if len(k) == 0:
-        return (k,) + tuple(v[:0] for v in vals)
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    return (k[starts],) + tuple(np.add.reduceat(v[order], starts)
-                                for v in vals)
 
 
 def _md5_u64(strings) -> np.ndarray:
@@ -691,7 +678,7 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
         n_docs = np.empty(len(hs), np.int64)
         n_docs[ho] = np.repeat(sizes, sizes)
         dup = (n_docs >= 2).astype(np.int64)
-        k, n_dup = _sum_by_key2(doc, dup)
+        k, n_dup = sum_by_key(doc, dup)
         _, n_sh = np.unique(doc[np.argsort(doc, kind="stable")],
                             return_counts=True)
         return pa.table({
@@ -703,8 +690,8 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
 
     def merge_doc(g: pa.Table) -> pa.Table:
         doc = g["doc_id"].to_numpy()
-        k, n_sh, n_dup = _sum_by_key2(doc, g["n_sh"].to_numpy(),
-                                      g["n_dup"].to_numpy())
+        k, n_sh, n_dup = sum_by_key(doc, g["n_sh"].to_numpy(),
+                                     g["n_dup"].to_numpy())
         n_sh = n_sh.astype(np.int64)
         n_dup = n_dup.astype(np.int64)
         return pa.table({

@@ -25,7 +25,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..util import bucket_of
+from ..util import bucket_of, derive_buckets
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -49,8 +49,7 @@ def _ranks_of_sorted(key: np.ndarray) -> np.ndarray:
 # top-k per group
 # ---------------------------------------------------------------------------
 
-def top_orders_per_customer(sf_dir: str, k: int = 3,
-                            n_buckets: int | None = None) -> ray.data.Dataset:
+def top_orders_per_customer(sf_dir: str, k: int = 3) -> ray.data.Dataset:
     """Top-k orders by o_totalprice per customer (ties broken by
     o_orderkey ascending — same contract as the oracle's row_number).
 
@@ -59,8 +58,7 @@ def top_orders_per_customer(sf_dir: str, k: int = 3,
     payload is <= k rows per (customer, batch).  Final: ONE bounded
     256-bucket groupby on splitmix(o_custkey); the whole-bucket
     finalizer re-runs the same kernel and emits the rank."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
 
     _EMPTY = pa.schema([
         ("o_custkey", pa.int64()), ("o_orderkey", pa.int64()),
@@ -107,8 +105,8 @@ def top_orders_per_customer(sf_dir: str, k: int = 3,
 # stratified sample
 # ---------------------------------------------------------------------------
 
-def stratified_sample(sf_dir: str, n_per_stratum: int = 20,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def stratified_sample(sf_dir: str,
+                      n_per_stratum: int = 20) -> ray.data.Dataset:
     """Deterministic stratified sample: exactly min(n, |stratum|) docs
     per language, chosen by md5(doc_id-as-decimal-string) rank (the
     repo's md5-derived-hash parity rule — DuckDB reproduces the order
@@ -120,8 +118,7 @@ def stratified_sample(sf_dir: str, n_per_stratum: int = 20,
     Partial top-n per stratum bounds the shuffle at n rows per
     (stratum, batch); strata hash into a bounded bucket key so the
     operator survives high-cardinality strata unchanged."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
 
     _EMPTY = pa.schema([
         ("lang", pa.string()), ("doc_id", pa.int64()),
@@ -175,8 +172,8 @@ def stratified_sample(sf_dir: str, n_per_stratum: int = 20,
 # exact per-group quantiles via bounded histogram
 # ---------------------------------------------------------------------------
 
-def group_quantiles(sf_dir: str, qs=(0.25, 0.50, 0.75, 0.95),
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+def group_quantiles(sf_dir: str,
+                    qs=(0.25, 0.50, 0.75, 0.95)) -> ray.data.Dataset:
     """Exact per-supplier quantiles of l_quantity via a bounded
     histogram: l_quantity is integral with a tiny domain (1..50), so
     each batch collapses to <= suppliers_in_batch × 50 (supplier,
@@ -187,8 +184,7 @@ def group_quantiles(sf_dir: str, qs=(0.25, 0.50, 0.75, 0.95),
     p_q = min value whose within-group cumulative count >= ceil(q·n).
     The finalizer does it for all groups in a bucket with one lexsort
     + segment cumsum + a minimum.reduceat — no per-group loop."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 64)
 
     _EMPTY = pa.schema([
         ("l_suppkey", pa.int64()), ("l_quantity", pa.float64()),
@@ -355,7 +351,7 @@ def orders_price_bands(sf_dir: str, n_bands: int = 120,
 # distributed count-distinct
 # ---------------------------------------------------------------------------
 
-def distinct_users(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def distinct_users(sf_dir: str) -> ray.data.Dataset:
     """Exact count(DISTINCT user_id) per event_type, distributed: each
     batch collapses to its distinct (event_type, user_id) pairs (one
     Arrow hash-aggregate), the pairs shuffle on a bounded
@@ -363,8 +359,7 @@ def distinct_users(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datase
     one bucket and each (type, user) pair is counted exactly once —
     and the per-bucket partial counts reduce in a final groupby over
     the bounded event_type domain."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -402,7 +397,7 @@ def distinct_users(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datase
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def group_mode(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def group_mode(sf_dir: str) -> ray.data.Dataset:
     """Distributed ARGMAX / mode: the most frequent user per
     event_type, ties to the smallest user_id — (event_type,
     modal_user, n). The grouped-mode shape for a high-cardinality
@@ -416,8 +411,7 @@ def group_mode(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
 
     SQL twin: row_number() OVER (PARTITION BY event_type ORDER BY
     count(*) DESC, user_id) = 1."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"event_type": b["event_type"],

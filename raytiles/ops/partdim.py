@@ -26,6 +26,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..util import bucket_of, derive_buckets
 from .relational import _fq, _p
 
 
@@ -150,7 +151,7 @@ def top_suppliers(sf_dir: str, date_lo: str = "1996-01-01",
                        descending=[True, False]).limit(k)
 
 
-def brand_type_stats(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def brand_type_stats(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q16 flavor (no partsupp in this corpus): per (p_brand,
     p_type): distinct parts shipped, total quantity, revenue. The
     distinct-part count is exact WITHOUT a high-cardinality groupby:
@@ -158,10 +159,8 @@ def brand_type_stats(sf_dir: str, n_buckets: int | None = None) -> ray.data.Data
     exchange groups by splitmix(partkey) % n_buckets (bounded domain),
     each bucket merges its disjoint partkeys vectorized, and the final
     (brand, type) groupby sums disjoint per-bucket distinct counts."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/part.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/part.parquet", 256)
     import pyarrow.parquet as pq
-    from ..util import bucket_of
     part = pq.read_table(_p(sf_dir, "part"),
                          columns=["p_partkey", "p_brand", "p_type"])
     pk = part["p_partkey"].to_numpy()

@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of
+from ..util import bucket_of, derive_buckets
 
 PROFILE_COLUMNS = ("doc_id", "text", "lang", "source", "n_chars")
 
@@ -29,7 +29,7 @@ def _round6(x: float) -> float:
     return (np.floor(v + 0.5) if v >= 0 else np.ceil(v - 0.5)) / 1e6
 
 
-def profile_table(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
+def profile_table(sf_dir: str) -> pd.DataFrame:
     """One profile row per column of the documents table.
 
     Shape: a single map_batches pass emits, per column, one tiny stats
@@ -40,8 +40,7 @@ def profile_table(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
     _shingle_sets pattern: no object lists ride the shuffle); ONE
     groupby over (col, bucket, kind) merges, and the driver folds
     <= cols x (buckets + 1) rows. Raw values never shuffle."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
 
     def partial(batch: pa.Table) -> pa.Table:
         rows = {"col_name": [], "bucket": [], "kind": [], "n": [],

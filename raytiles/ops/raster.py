@@ -25,6 +25,7 @@ import ray.data
 from ..codec.encode import encode_tile
 from ..codec.fastshape import encode_heat_tiles
 from ..codec.model import DO, I64V, Feature, Layer, VectorTile
+from ..util import bucket_of, derive_buckets
 
 GRID = 256  # raster resolution per tile (4096 extent / 256 = 16px cells)
 CELL = 4096 // GRID
@@ -244,8 +245,7 @@ def heatmap_pipeline(webpages_path: str, zoom: int = 8) -> ray.data.Dataset:
     return vectorize_raster(rasterize_tiles(ds))
 
 
-def tile_neighborhood(webpages_path: str, zoom: int = 12,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def tile_neighborhood(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     """3x3 neighborhood aggregation over the tile grid (a distributed
     spatial stencil / self-join): for every non-empty tile, its own
     feature count plus the total over the 8 surrounding tiles.
@@ -258,10 +258,8 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12,
     replicate BEFORE the shuffle and the merge is a plain groupby-sum
     — no join, no second pass.  At the edges neighbors clip (no
     wraparound), matching the oracle's BETWEEN self-join."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 1024)
+    n_buckets = derive_buckets(webpages_path, 1024)
     from ..pipeline.flagship import assign, geoparse, read_webpages
-    from ..util import bucket_of
 
     n = 1 << zoom
 
@@ -304,13 +302,12 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12,
         .groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
-def _cluster_partials(zoom: int, radius: int, n_buckets: int):
+def _cluster_partials(webpages_path: str, zoom: int, radius: int):
     """Shared partial stage for the supercluster family: per batch,
     collapse mentions to per-(tile, grid-cell) rows carrying
     (n, sum_local_x, sum_local_y); bucket by splitmix(tile) so one
     tile's whole cell set (<= (4096/radius)^2 rows) co-locates."""
-    from ..util import bucket_of
-
+    n_buckets = derive_buckets(webpages_path, 512)
     n = 1 << zoom
     cells = 4096 // radius
 
@@ -333,8 +330,8 @@ def _cluster_partials(zoom: int, radius: int, n_buckets: int):
     return partial, n, cells
 
 
-def point_clusters(webpages_path: str, zoom: int = 12, radius: int = 256,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def point_clusters(webpages_path: str, zoom: int = 12,
+                   radius: int = 256) -> ray.data.Dataset:
     """Supercluster-style map clustering (the display-time point
     reduction every slippy-map product ships): mentions bin into
     ``radius``-extent-unit grid cells inside their tile; each occupied
@@ -344,11 +341,9 @@ def point_clusters(webpages_path: str, zoom: int = 12, radius: int = 256,
     rows before the ONE bounded splitmix(tile) bucket shuffle; a tile
     contributes at most (4096/radius)^2 rows per batch, so reducer
     state is bounded at any corpus size."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 512)
     from ..pipeline.flagship import assign, geoparse, read_webpages
 
-    partial, n, cells = _cluster_partials(zoom, radius, n_buckets)
+    partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
 
     def merge(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["key", "n", "sx", "sy"]),
@@ -374,18 +369,15 @@ def point_clusters(webpages_path: str, zoom: int = 12, radius: int = 256,
 
 
 def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
-                           radius: int = 256,
-                           n_buckets: int | None = None) -> ray.data.Dataset:
+                           radius: int = 256) -> ray.data.Dataset:
     """The MVT face of point_clusters: per tile, one point feature per
     occupied cell at the integer centroid, carrying point_count (I64)
     metadata — fid = gx * cells + gy so the feature set is
     deterministic. Same single bounded shuffle; the reducer both
     merges cell partials and encodes its tiles."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 512)
     from ..pipeline.flagship import assign, geoparse, read_webpages
 
-    partial, n, cells = _cluster_partials(zoom, radius, n_buckets)
+    partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
 
     def encode_group(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["key", "n", "sx", "sy"]),
@@ -427,8 +419,8 @@ def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
         .groupby("bucket").map_groups(encode_group, batch_format="pyarrow")
 
 
-def raster_blur(webpages_path: str, zoom: int = 8, grid_cell: int = 16,
-                n_buckets: int | None = None) -> ray.data.Dataset:
+def raster_blur(webpages_path: str, zoom: int = 8,
+                grid_cell: int = 16) -> ray.data.Dataset:
     """Distributed raster convolution with ghost-cell (halo) exchange:
     a 3x3 integer binomial kernel (1 2 1 / 2 4 2 / 1 2 1) over the
     GLOBAL sub-tile density grid — cells are global coordinates
@@ -442,10 +434,8 @@ def raster_blur(webpages_path: str, zoom: int = 8, grid_cell: int = 16,
     it — no join, no dense grid materialization, work proportional to
     OCCUPIED cells (9x), never to grid area. All-integer weights keep
     the result exact at any merge order."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 1024)
+    n_buckets = derive_buckets(webpages_path, 1024)
     from ..pipeline.flagship import assign, geoparse, read_webpages
-    from ..util import bucket_of
 
     cells = 4096 // grid_cell
     span = (1 << zoom) * cells  # global cells per axis

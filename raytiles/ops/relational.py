@@ -26,6 +26,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from ..util import bucket_of, derive_buckets, splitmix64, sum_by_key
+
 
 def _p(sf_dir: str, table: str) -> str:
     return f"{sf_dir}/{table}.parquet"
@@ -40,20 +42,6 @@ def _fq(x, k: int) -> np.ndarray:
     q = 10.0 ** k
     v = np.asarray(x, dtype=np.float64) * q
     return np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5)) / q
-
-
-def _sum_by_key(key: np.ndarray, *vals: np.ndarray):
-    """(unique sorted keys, per-key sums of each val array) via one
-    argsort + add.reduceat — the shared Arrow-native bucket-merge
-    kernel (sequential adds, bit-identical to pandas' group_add for
-    ints and for floats in the same order)."""
-    order = np.argsort(key, kind="stable")
-    k = key[order]
-    if len(k) == 0:
-        return (k,) + tuple(v[:0] for v in vals)
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    return (k[starts],) + tuple(np.add.reduceat(v[order], starts)
-                                for v in vals)
 
 
 def pricing_summary(sf_dir: str) -> ray.data.Dataset:
@@ -236,8 +224,7 @@ def events_sliding(sf_dir: str, window_min: int = 60, step_min: int = 15) -> ray
     return agg.map_batches(finalize, batch_format="pandas")
 
 
-def events_sessions(sf_dir: str, gap_min: int = 30,
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+def events_sessions(sf_dir: str, gap_min: int = 30) -> ray.data.Dataset:
     """Gap-based sessionization per user (session breaks when the gap
     to the previous event exceeds gap_min), bucketed: users hash into
     a BOUNDED 256-bucket key (never groupby(user_id) — one Python
@@ -245,9 +232,7 @@ def events_sessions(sf_dir: str, gap_min: int = 30,
     at 10^9 users), and one vectorized sort+diff pass sessionizes ALL
     users in a bucket together. Order within equal ts is pinned by
     event_id so the oracle matches deterministically."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     gap = np.timedelta64(gap_min, "m")
 
     def add_bucket(b: pa.Table) -> pa.Table:
@@ -290,8 +275,7 @@ def events_sessions(sf_dir: str, gap_min: int = 30,
 
 
 def events_asof(sf_dir: str, left_type: str = "purchase",
-                right_type: str = "click",
-                n_buckets: int | None = None) -> ray.data.Dataset:
+                right_type: str = "click") -> ray.data.Dataset:
     """As-of join, an operator Ray Data has no primitive for: each
     ``left_type`` event is joined to the latest ``right_type`` event
     of the SAME user strictly earlier in ``(ts, event_id)`` order
@@ -307,9 +291,7 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
     left row's predecessor without any per-user loop. Timestamps
     travel as epoch microseconds (int64) so engine and oracle hash
     identically."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def add_bucket(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -358,8 +340,7 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
         .groupby("bucket").map_groups(asof_bucket, batch_format="pyarrow")
 
 
-def order_revenue(sf_dir: str, status: str = "O",
-                  n_buckets: int | None = None) -> ray.data.Dataset:
+def order_revenue(sf_dir: str, status: str = "O") -> ray.data.Dataset:
     """Distributed BIG x BIG equi-join: per-order lineitem revenue
     joined to open orders. Neither side broadcasts — lineitem first
     collapses to exact per-order partials (per-batch Arrow hash
@@ -374,10 +355,8 @@ def order_revenue(sf_dir: str, status: str = "O",
     oracle sums agree far beyond 2 decimals regardless of addition
     order. o_orderdate travels as epoch microseconds (int64) so the
     hashes match exactly."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     from .dedup import _join_partitions
-    from ..util import bucket_of
 
     def li_partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -434,8 +413,7 @@ def order_revenue(sf_dir: str, status: str = "O",
     return j.map_batches(finalize, batch_format="pandas")
 
 
-def order_revenue_left(sf_dir: str, status: str = "O",
-                       n_buckets: int | None = None) -> ray.data.Dataset:
+def order_revenue_left(sf_dir: str, status: str = "O") -> ray.data.Dataset:
     """LEFT OUTER variant of ``order_revenue``: EVERY status-filtered
     order appears, orders with no lineitems carrying revenue 0.00 /
     n_items 0 — the null-preserving join shape (reporting joins,
@@ -446,10 +424,8 @@ def order_revenue_left(sf_dir: str, status: str = "O",
     join's probe side is one row per order, not one per lineitem —
     with orders as the preserved (left) side of Ray Data's
     partitioned hash join and a vectorized null-fill finalizer."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     from .dedup import _join_partitions
-    from ..util import bucket_of
 
     def li_partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -512,8 +488,7 @@ def order_revenue_left(sf_dir: str, status: str = "O",
 
 
 def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
-                   date_hi: str = "1997-01-01",
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+                   date_hi: str = "1997-01-01") -> ray.data.Dataset:
     """Multi-way join (TPC-H Q5 shape): yearly revenue per nation =
     lineitem |><| orders |><| customer |><| nation.
 
@@ -534,11 +509,9 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     INT64 cents BEFORE the per-nation sum, so the wide aggregation is
     an order-free integer sum — bit-stable under any block layout, and
     the oracle's SUM over identically quantized cents matches exactly."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     import pyarrow.parquet as pq
     from .dedup import _join_partitions
-    from ..util import bucket_of
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype(np.int64)
@@ -642,8 +615,7 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
 
 
 def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4",
-                           factor: float = 0.5,
-                           n_buckets: int | None = None) -> ray.data.Dataset:
+                           factor: float = 0.5) -> ray.data.Dataset:
     """Correlated-aggregate join (TPC-H Q17 shape): revenue from
     lineitems of one brand's parts whose quantity is below
     ``factor * (that part's own average quantity)`` — the correlated
@@ -662,10 +634,8 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4",
     Parity: the threshold ``factor * (sq / n)`` is the identical
     double op sequence as the oracle; revenue is per-row quantized to
     INT64 cents before summing (order-free exact)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/part.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/part.parquet", 256)
     import pyarrow.parquet as pq
-    from ..util import bucket_of
 
     part_keys = np.sort(pq.read_table(
         _p(sf_dir, "part"),
@@ -740,8 +710,7 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4",
 
 
 def cohort_revenue_full(sf_dir: str, year_a: int = 1996,
-                        year_b: int = 1999,
-                        n_buckets: int | None = None) -> ray.data.Dataset:
+                        year_b: int = 1999) -> ray.data.Dataset:
     """FULL OUTER join: one row per customer active in EITHER buying
     cohort (year_a or year_b), with both sides' revenue — the
     year-over-year retention/churn report shape where neither side
@@ -755,10 +724,8 @@ def cohort_revenue_full(sf_dir: str, year_a: int = 1996,
     columns and null-fills the missing side with zeros. Both null
     directions are exercised by construction (disjoint cohort members
     exist on each side)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
     from .dedup import _join_partitions
-    from ..util import bucket_of
 
     def window(year: int):
         lo = np.datetime64(f"{year}-01-01").astype("datetime64[us]") \
@@ -896,7 +863,7 @@ def group_stats(sf_dir: str) -> ray.data.Dataset:
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
 
 
-def user_features(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def user_features(sf_dir: str) -> ray.data.Dataset:
     """Per-user feature vector (pivot / one-hot aggregation — the
     feature-engineering step before model training): one row per user
     with a count column per event type plus the value sum.
@@ -906,9 +873,7 @@ def user_features(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset
     to int — no per-type pass over the batch), so the shuffle moves
     one 7-column row per (user, batch). Final: bounded-bucket groupby
     on splitmix(user_id), vectorized sum-merge per user."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     import pyarrow.compute as pc
 
     cols = [f"n_{t}" for t in EVENT_TYPES]
@@ -941,7 +906,7 @@ def user_features(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset
         .groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
-def funnel_conversion(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def funnel_conversion(sf_dir: str) -> ray.data.Dataset:
     """Funnel / sequence-match: for every user with a signup, the
     first purchase STRICTLY after their first signup (user_id,
     signup_us, conv_us [-1 if none], converted) — the ordered-event
@@ -951,11 +916,9 @@ def funnel_conversion(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dat
     the parquet scan); rows shuffle once on a bounded splitmix(user)
     bucket; the per-bucket finalizer is one lexsort + segment
     minimum.reduceat over masked timestamps — no per-user loop."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     import pyarrow.compute as pc
 
-    from ..util import bucket_of
 
     def tag(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1006,8 +969,8 @@ def funnel_conversion(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dat
 
 
 def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
-                   n_bits: int = 1 << 20, n_hashes: int = 4,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+                   n_bits: int = 1 << 20,
+                   n_hashes: int = 4) -> ray.data.Dataset:
     """Bloom-prefiltered semi-join: lineitem revenue restricted to
     orders of the given priority, grouped by l_returnflag —
     (l_returnflag, n_items, revenue).
@@ -1030,9 +993,7 @@ def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
     build keys and probe partials meet in a bounded splitmix(orderkey)
     bucket, one np.isin drops bloom false positives, partials collapse
     per returnflag; (4) a final 3-row groupby sums the buckets."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 256)
-    from ..util import bucket_of, splitmix64
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
 
     mask = np.uint64(n_bits - 1)
     seeds = np.arange(1, n_hashes + 1, dtype=np.uint64) * np.uint64(
@@ -1133,7 +1094,7 @@ def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
     return agg.map_batches(finalize, batch_format="pandas")
 
 
-def running_revenue(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def running_revenue(sf_dir: str) -> ray.data.Dataset:
     """Cumulative window: per customer, orders by (o_orderdate,
     o_orderkey) with the running revenue total — (o_custkey,
     o_orderkey, order_us, cum_revenue). The ordered-prefix aggregate
@@ -1147,9 +1108,7 @@ def running_revenue(sf_dir: str, n_buckets: int | None = None) -> ray.data.Datas
     hazard); the oracle's windowed double sum rounded to 2 decimals
     equals the cents value while accumulated fp error < half a cent,
     i.e. for any realistic per-customer prefix."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         cust = b["o_custkey"].to_numpy()
@@ -1198,7 +1157,7 @@ def _week_start_us(ts_us: np.ndarray) -> np.ndarray:
     return (d - ((d + 3) % 7)) * 86_400_000_000
 
 
-def cohort_retention(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def cohort_retention(sf_dir: str) -> ray.data.Dataset:
     """Weekly cohort retention triangle: users cohorted by their
     first-signup week; n_active = distinct cohort users active (any
     event) in cohort_week + week_offset — (cohort_us, week_offset,
@@ -1210,9 +1169,7 @@ def cohort_retention(sf_dir: str, n_buckets: int | None = None) -> ray.data.Data
     the cohort week, np.unique for distinct (user, week), and a
     unique-count partial per (cohort, offset); the final groupby key
     domain is (weeks x offsets) — tens of rows, never user-sized."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         user = b["user_id"].to_numpy()
@@ -1298,7 +1255,6 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
 
     SQL twin: max(epoch_us(ts)) OVER (ORDER BY event_id ROWS BETWEEN
     UNBOUNDED PRECEDING AND 1 PRECEDING)."""
-    from ..util import bucket_of
     late_us = np.int64(lateness_s * 1_000_000)
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
@@ -1369,7 +1325,7 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
         .groupby("shard").map_groups(scan, batch_format="pyarrow")
 
 
-def event_transitions(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def event_transitions(sf_dir: str) -> ray.data.Dataset:
     """Markov transition counts over per-user event streams: how many
     times event type A is immediately followed by type B for the same
     user in (ts, event_id) order — the session-path / next-action
@@ -1381,9 +1337,7 @@ def event_transitions(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dat
     = 25 rows) before leaving the reducer: lexsort, adjacent-pair
     mask, then one np.unique over packed type-index pairs. The tiny
     partials coalesce to a single narrow merge — no second shuffle."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     k = len(EVENT_TYPES)
     type_arr = pa.array(EVENT_TYPES)
@@ -1446,8 +1400,8 @@ def event_transitions(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dat
         .repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
-def user_value_history(sf_dir: str, event_type: str = "purchase",
-                       n_buckets: int | None = None) -> ray.data.Dataset:
+def user_value_history(sf_dir: str,
+                       event_type: str = "purchase") -> ray.data.Dataset:
     """SCD-2 history build: turn a change log into validity INTERVALS
     — for each user's ``event_type`` events in (ts, event_id) order,
     emit (user_id, vm, valid_from_us, valid_to_us) where valid_to is
@@ -1459,9 +1413,7 @@ def user_value_history(sf_dir: str, event_type: str = "purchase",
     user whole in one bucket) with a lead()-by-shift: after the
     bucket lexsort, a row's valid_to is simply the NEXT row's ts when
     it shares the user. One bounded shuffle, no window machinery."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["event_type"], event_type))
@@ -1782,7 +1734,6 @@ def events_range_window(sf_dir: str, range_s: int = 300,
 
     SQL twin: count(*) OVER (ORDER BY epoch_us(ts) RANGE BETWEEN
     {range_us} PRECEDING AND CURRENT ROW)."""
-    from ..util import bucket_of
     range_us = np.int64(range_s * 1_000_000)
     bucket_us = np.int64(bucket_s * 1_000_000)
 
@@ -1830,7 +1781,7 @@ def events_range_window(sf_dir: str, range_s: int = 300,
         .map_batches(replicate, batch_format="pyarrow") \
         .groupby("shard").map_groups(count_windows, batch_format="pyarrow")
 
-def events_lag(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def events_lag(sf_dir: str) -> ray.data.Dataset:
     """LAG window (offset lookback): each event paired with the SAME
     user's immediately previous event in ``(ts, event_id)`` order,
     emitting the value delta — SQL's ``lag(...) OVER (PARTITION BY
@@ -1844,9 +1795,7 @@ def events_lag(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
     INT64 micro-units (floor(value * 1e6), the identical double op on
     both sides) BEFORE the subtraction so the delta is bit-exact and
     order-free."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy()
@@ -1885,8 +1834,7 @@ def events_lag(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
         .groupby("bucket").map_groups(lag_bucket, batch_format="pyarrow")
 
 
-def events_moving_sum(sf_dir: str, k_preceding: int = 3,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def events_moving_sum(sf_dir: str, k_preceding: int = 3) -> ray.data.Dataset:
     """ROWS-frame moving window: per user, the sum and count of the
     last ``k_preceding + 1`` events' values in ``(ts, event_id)``
     order — SQL's ``sum(...) OVER (... ROWS BETWEEN k PRECEDING AND
@@ -1898,9 +1846,7 @@ def events_moving_sum(sf_dir: str, k_preceding: int = 3,
     (max(i - k, segment_first)) — no per-user loop, no per-row loop.
     Values ride as exact INT64 micro-units so the windowed sums are
     order-free bit-exact vs the oracle's integer sum."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy()
@@ -2080,8 +2026,7 @@ def value_outliers(sf_dir: str, z_thresh: float = 3.0) -> ray.data.Dataset:
     return full.map_batches(flag, batch_format="pyarrow")
 
 
-def interval_coverage(sf_dir: str, duration_s: int = 300,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
     """Interval-union coverage per user: each event opens a
     [ts, ts + duration_s) activity interval; overlapping/touching
     intervals merge, and the operator reports the merged-interval
@@ -2096,8 +2041,7 @@ def interval_coverage(sf_dir: str, duration_s: int = 300,
     DuckDB island-detection twin matches EXACTLY (no float rounding).
     Touching intervals (next.start == prev.end) merge, mirroring the
     SQL's strict `s > prev_max` island break."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     from raytiles.util import bucket_of
 
     dur_us = duration_s * 1_000_000
@@ -2211,8 +2155,7 @@ def _ts_day_range(path: str, ds: "ray.data.Dataset",
     return int(rng["lo"]), int(rng["hi"])
 
 
-def rolling_dau(sf_dir: str, window_days: int = 7,
-                n_buckets: int | None = None) -> ray.data.Dataset:
+def rolling_dau(sf_dir: str, window_days: int = 7) -> ray.data.Dataset:
     """Daily active users + trailing-N-day distinct users for every
     day in the data's [min_day, max_day] range — the engagement
     metric family (DAU / WAU) computed EXACTLY at scale.
@@ -2228,8 +2171,7 @@ def rolling_dau(sf_dir: str, window_days: int = 7,
     is passed into every bucket so all buckets emit the same day axis.
     Per-batch distinct (day, user) partials bound the shuffle at one
     row per (day, user, batch)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Sum
     from raytiles.util import bucket_of
 
@@ -2260,8 +2202,8 @@ def rolling_dau(sf_dir: str, window_days: int = 7,
         # Memory note (the 100x lens): the bucket's working set is
         # users_in_bucket x n_days at ONE byte per cell (bool presence
         # + a rolling uint8 window count that saturates at window_days
-        # <= 255) — size n_buckets so users/bucket x n_days stays in a
-        # worker's heap; n_buckets is the scale knob, the math is
+        # <= 255) — derive_buckets grows n_buckets with the input so
+        # users/bucket x n_days stays in a worker's heap; the math is
         # bucket-local either way.
         day_i = g["day_i"].to_numpy()
         uid = g["user_id"].to_numpy()
@@ -2356,7 +2298,7 @@ def events_deciles(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def user_journeys(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def user_journeys(sf_dir: str) -> ray.data.Dataset:
     """Per-user event-sequence string ("journey"): the first letter of
     each event_type concatenated in (ts, event_id) order — the compact
     behavioral encoding sequence-mining / markov features start from.
@@ -2367,8 +2309,7 @@ def user_journeys(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset
     each user's journey is a buffer slice — the only per-row Python is
     the final per-USER string construction (one slice + decode per
     user, not per event)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     from raytiles.util import bucket_of
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -2473,8 +2414,7 @@ def props_extract(sf_dir: str) -> ray.data.Dataset:
     return agg.map_batches(finalize, batch_format="pandas")
 
 
-def churned_users(sf_dir: str, window_days: int = 1,
-                  n_buckets: int | None = None) -> ray.data.Dataset:
+def churned_users(sf_dir: str, window_days: int = 1) -> ray.data.Dataset:
     """Churn set-difference: users active in the FIRST window_days of
     the data's range but absent from the LAST window_days — the
     EXCEPT / anti-membership shape over derived distinct sets.
@@ -2485,8 +2425,7 @@ def churned_users(sf_dir: str, window_days: int = 1,
     flags per user (a user's whole truth lives in one bucket), and the
     filter (first AND NOT last) is a vectorized mask — no join, no
     second shuffle, output bounded by the churned-user count."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from raytiles.util import bucket_of
 
     DAY_US = 86_400_000_000
@@ -2637,8 +2576,7 @@ def quantile_cont(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9)) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p",
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p") -> ray.data.Dataset:
     """Sequence-pattern matching over per-user event journeys (the
     MATCH_RECOGNIZE / CEP shape): count non-overlapping occurrences of
     a regex over each user's ordered event-initial string — here
@@ -2649,8 +2587,7 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p",
     Shape: identical to user_journeys (bucketed lexsort + buffer
     slices); the only added per-USER work is one compiled-regex
     findall over a short string."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     import re as _re
 
     from raytiles.util import bucket_of
@@ -2692,7 +2629,7 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p",
         .groupby("bucket").map_groups(count_matches, batch_format="pyarrow")
 
 
-def new_users_curve(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
+def new_users_curve(sf_dir: str) -> pd.DataFrame:
     """User-acquisition curve: per day, how many users appear for the
     FIRST time, plus the running cumulative — the growth metric
     (cumsum of a grouped argmin).
@@ -2702,8 +2639,7 @@ def new_users_curve(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
     bucket); per-bucket first-day histograms over the bounded day
     domain sum exactly across buckets; the cumulative fold runs on the
     driver over n_days rows."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Max, Min, Sum
     from raytiles.util import bucket_of
 
@@ -2751,7 +2687,7 @@ def new_users_curve(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
         "cum_users": np.cumsum(agg["n_new"].to_numpy()).astype(np.int64)})
 
 
-def time_weighted_value(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def time_weighted_value(sf_dir: str) -> ray.data.Dataset:
     """Time-weighted average value per user (the IoT / finance TWA:
     each event's value holds until the user's next event; integrate
     over the user's [first, last] span). Users with a single event
@@ -2762,8 +2698,7 @@ def time_weighted_value(sf_dir: str, n_buckets: int | None = None) -> ray.data.D
     cent-microseconds (exact: max cent 49k x 30-day span ~ 1.3e17 <
     2^63), and BOTH sides convert the same exact int64 numerator to
     double for the final division, so parity holds to the round."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     from raytiles.util import bucket_of
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -2815,7 +2750,7 @@ def time_weighted_value(sf_dir: str, n_buckets: int | None = None) -> ray.data.D
         .groupby("bucket").map_groups(twa_bucket, batch_format="pyarrow")
 
 
-def audience_overlap(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def audience_overlap(sf_dir: str) -> ray.data.Dataset:
     """Pairwise audience overlap between event types: for every
     unordered type pair, the distinct-user intersection count and
     Jaccard similarity — the segment-overlap matrix an audience /
@@ -2827,8 +2762,7 @@ def audience_overlap(sf_dir: str, n_buckets: int | None = None) -> ray.data.Data
     per bucket a 5-bit presence mask per user folds to per-type and
     per-pair partial counts (<= 5 + 10 rows per bucket) that SUM
     exactly across buckets; the tiny finalize computes Jaccard."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Sum
     from raytiles.util import bucket_of
 
@@ -2945,8 +2879,7 @@ def mad_stats(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def loyal_users(sf_dir: str, event_type: str = "purchase",
-                n_buckets: int | None = None) -> ray.data.Dataset:
+def loyal_users(sf_dir: str, event_type: str = "purchase") -> ray.data.Dataset:
     """Relational DIVISION (the universal quantifier): users with at
     least one `event_type` event in EVERY week of the data's range —
     the "for all periods" loyalty query most engines express awkwardly
@@ -2959,8 +2892,7 @@ def loyal_users(sf_dir: str, event_type: str = "purchase",
     splitmix(user) bucket shuffle co-locates a user's week set; the
     bucket finalizer counts distinct weeks per user and keeps
     full-coverage users."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Max
     from raytiles.util import bucket_of
 
@@ -3068,7 +3000,7 @@ def wow_growth(sf_dir: str) -> ray.data.Dataset:
         growth, batch_format="pyarrow")
 
 
-def order_discount_factor(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def order_discount_factor(sf_dir: str) -> ray.data.Dataset:
     """Multiplicative aggregate: per order, the compound discount
     factor prod(1 - l_discount) over its lineitems, carried in the
     LOG domain as integer micro-nats (the repo's entropy/logprob
@@ -3081,8 +3013,7 @@ def order_discount_factor(sf_dir: str, n_buckets: int | None = None) -> ray.data
     Shape: per-batch lexsort + segmented integer sums collapse each
     batch to one partial per (order, batch); ONE bounded
     splitmix(orderkey) bucket shuffle; in-bucket integer-sum merge."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 512)
     from raytiles.util import bucket_of
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3107,8 +3038,8 @@ def order_discount_factor(sf_dir: str, n_buckets: int | None = None) -> ray.data
             "s": s.astype(np.int64), "n": cnt.astype(np.int64)})
 
     def merge(g: pa.Table) -> pa.Table:
-        k, s, n = _sum_by_key(g["l_orderkey"].to_numpy(),
-                              g["s"].to_numpy(), g["n"].to_numpy())
+        k, s, n = sum_by_key(g["l_orderkey"].to_numpy(),
+                             g["s"].to_numpy(), g["n"].to_numpy())
         return pa.table({
             "l_orderkey": pa.array(k.astype(np.int64)),
             "n_items": pa.array(n.astype(np.int64)),
@@ -3220,7 +3151,7 @@ def winsorized_mean(sf_dir: str, lo_q: float = 0.05,
     return pd.DataFrame(rows)
 
 
-def order_gini(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
+def order_gini(sf_dir: str) -> pd.DataFrame:
     """Gini coefficient of orders-per-customer — the concentration /
     inequality diagnostic (is demand long-tailed?). Output: one row
     with customer count, order total, and gini (round 6).
@@ -3233,8 +3164,7 @@ def order_gini(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
     / (n * total) block-wise over the histogram in exact int64: a
     tie block's rank sum is assignment-invariant. Only the closing
     division is float, mirrored in the twin."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
     from ray.data.aggregate import Sum
     from raytiles.util import bucket_of
 
@@ -3246,8 +3176,8 @@ def order_gini(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
                          "n": c.astype(np.int64)})
 
     def hist_bucket(g: pa.Table) -> pa.Table:
-        _, per_cust = _sum_by_key(g["o_custkey"].to_numpy(),
-                                  g["n"].to_numpy())
+        _, per_cust = sum_by_key(g["o_custkey"].to_numpy(),
+                                 g["n"].to_numpy())
         vals, cnts = np.unique(per_cust, return_counts=True)
         return pa.table({"n_orders": pa.array(vals.astype(np.int64)),
                          "n_cust": pa.array(cnts.astype(np.int64))})
@@ -3274,8 +3204,7 @@ def order_gini(sf_dir: str, n_buckets: int | None = None) -> pd.DataFrame:
                          "gini": [gini]})
 
 
-def late_orders(sf_dir: str, grace_days: int = 90,
-                n_buckets: int | None = None) -> ray.data.Dataset:
+def late_orders(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
     """EXISTS semi-join (TPC-H Q4 shape): per order priority, how many
     orders had at least one lineitem shipped more than ``grace_days``
     after the order date.
@@ -3287,9 +3216,7 @@ def late_orders(sf_dir: str, grace_days: int = 90,
     splitmix(orderkey) bucket, and the per-bucket finalizer emits
     per-priority partial counts (<= 5 rows per bucket). Shuffle
     payload: one 20-byte row per order per side, never the lineitems."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
 
     grace_us = np.int64(grace_days) * 86_400_000_000
 
@@ -3377,7 +3304,7 @@ def late_orders(sf_dir: str, grace_days: int = 90,
     return agg.map_batches(finalize, batch_format="pandas")
 
 
-def user_entropy(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def user_entropy(sf_dir: str) -> ray.data.Dataset:
     """Behavioral entropy: per-user Shannon entropy (nats) of the
     event-type distribution — near 0 = single-behavior user, near
     ln(|types|) = uniform mix. The per-(user, type) count table is
@@ -3385,9 +3312,7 @@ def user_entropy(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
     splitmix(user) bucket shuffle co-locates each user's counts, and
     the entropy finishes vectorized inside the bucket (term order
     fixed by an event_type sort so the float sum is bit-stable)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def partial(b: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(b.select(["user_id", "event_type"]),
@@ -3493,8 +3418,8 @@ def pareto_orders(sf_dir: str) -> pd.DataFrame:
         "o_totalprice": out["o_totalprice"].to_numpy()})
 
 
-def idle_customers(sf_dir: str, cutoff: str = "2000-06-01",
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def idle_customers(sf_dir: str,
+                   cutoff: str = "2000-06-01") -> ray.data.Dataset:
     """TPC-H Q22 shape: per nation, customers whose balance beats the
     global average positive balance but who placed NO order since
     ``cutoff``. Three bounded moves: (1) a 2-int reduce over customer
@@ -3505,9 +3430,7 @@ def idle_customers(sf_dir: str, cutoff: str = "2000-06-01",
     (3) ONE splitmix(custkey) bucket shuffle co-locates rich customers
     with the has-recent-order key set; the anti-join is one vectorized
     np.isin per bucket emitting <= 25 per-nation partial rows."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/customer.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/customer.parquet", 256)
 
     cutoff_us = np.int64(pd.Timestamp(cutoff).value // 1000)
 
@@ -3560,7 +3483,7 @@ def idle_customers(sf_dir: str, cutoff: str = "2000-06-01",
             return pa.table({"nation": pa.array([], pa.int64()),
                              "n_cust": pa.array([], pa.int64()),
                              "total_cents": pa.array([], pa.int64())})
-        k, s = _sum_by_key(nat, cents)
+        k, s = sum_by_key(nat, cents)
         _, c = np.unique(nat, return_counts=True)  # same asc key order
         return pa.table({"nation": pa.array(k.astype(np.int64)),
                          "n_cust": pa.array(c.astype(np.int64)),
@@ -3588,8 +3511,7 @@ def idle_customers(sf_dir: str, cutoff: str = "2000-06-01",
     return agg.map_batches(finalize, batch_format="pandas")
 
 
-def waiting_suppliers(sf_dir: str, grace_days: int = 90,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
     """TPC-H Q21 shape (late predicate adapted to this schema's
     dates): over completed ('F') multi-supplier orders where EXACTLY
     ONE supplier shipped late (its max ship date > o_orderdate +
@@ -3602,9 +3524,7 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90,
     per-order supplier counts, the exactly-one filter) emitting
     per-supplier partials bounded by the supplier dimension. Names
     attach from a ray.put-broadcast dim at the tiny tail."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/supplier.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/supplier.parquet", 256)
 
     grace_us = np.int64(grace_days) * 86_400_000_000
 
@@ -3730,7 +3650,6 @@ def order_price_ranks(sf_dir: str, n_parts: int = 64,
     total order never straddles a boundary; a fully-degenerate key
     column therefore lands in one bucket (documented skew bound — the
     sample-split balance only helps when keys spread)."""
-    from ..util import splitmix64
 
     def key_of(b: pa.Table):
         ok = b["o_orderkey"].to_numpy().astype(np.int64)
@@ -3798,7 +3717,7 @@ EWMA_WINDOW = 8
 EWMA_WEIGHTS = tuple((1.0 - EWMA_ALPHA) ** k for k in range(EWMA_WINDOW))
 
 
-def events_ewma(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def events_ewma(sf_dir: str) -> ray.data.Dataset:
     """Exponentially weighted moving value per user over the last
     EWMA_WINDOW events in (ts, event_id) order — the decaying-window
     smoother a metrics pipeline runs (finite FIR form, so the state
@@ -3812,9 +3731,7 @@ def events_ewma(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
     left-to-right addition order as the twin's literal + chain, with
     the same weight doubles (EWMA_WEIGHTS is injected into the SQL as
     repr literals)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     c = EWMA_WEIGHTS
     W = EWMA_WINDOW
@@ -3858,8 +3775,7 @@ def events_ewma(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
         .groupby("bucket").map_groups(ewma_bucket, batch_format="pyarrow")
 
 
-def events_debounce(sf_dir: str, gap_s: int = 86400,
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+def events_debounce(sf_dir: str, gap_s: int = 86400) -> ray.data.Dataset:
     """TRUE stateful debounce per user: an event is kept iff it is the
     user's first, or >= gap since the last KEPT event — the classic
     sequential chain a rate-limiter / alert-dedup stage runs. Unlike a
@@ -3874,9 +3790,7 @@ def events_debounce(sf_dir: str, gap_s: int = 86400,
     work is sum(chain lengths) with no per-event Python. Timestamps
     are integers; the twin is a recursive CTE carrying last_kept per
     user — bit-exact."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     gap_us = int(gap_s) * 1_000_000
 
@@ -3928,8 +3842,7 @@ def events_debounce(sf_dir: str, gap_s: int = 86400,
 
 
 def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
-                 threshold_micro: int = 150_000_000,
-                 n_buckets: int | None = None) -> ray.data.Dataset:
+                 threshold_micro: int = 150_000_000) -> ray.data.Dataset:
     """CUSUM change-point detection per user (Page's classic test):
     s_i = max(0, s_{i-1} + (x_i - drift)), alarm when s_i crosses the
     threshold, s resets to 0 on alarm. Like events_debounce the state
@@ -3941,9 +3854,7 @@ def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
 
     Output: the alarm events only (event_id, user_id, ts_us, s_micro
     at alarm)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def tag(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy()
@@ -3995,7 +3906,7 @@ def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
         .groupby("bucket").map_groups(cusum_bucket, batch_format="pyarrow")
 
 
-def type_affinity(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def type_affinity(sf_dir: str) -> ray.data.Dataset:
     """Market-basket affinity over event types (association-rule
     lift): for each unordered type pair (a < b), the number of users
     exhibiting both, each type's user count, and
@@ -4009,9 +3920,7 @@ def type_affinity(sf_dir: str, n_buckets: int | None = None) -> ray.data.Dataset
     user's whole type set, per-bucket pair expansion is <= C(|types|,2)
     rows per user, and the final merge domain is pairs of a bounded
     vocabulary."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/events.parquet", 256)
-    from ..util import bucket_of
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"user_id": b["user_id"], "event_type": b["event_type"]})

@@ -23,10 +23,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..util import splitmix64
+from ..util import bucket_of, derive_buckets, splitmix64
+
+_HLL_BUCKETS = 64  # register-merge buckets of the HLL chain
 
 
-def _hll_rows(sf_dir: str, p: int, n_buckets: int) -> ray.data.Dataset:
+def _hll_rows(sf_dir: str, p: int) -> ray.data.Dataset:
     """Shared HLL register chain: per-batch (event_type, reg, rank)
     max partials -> bounded bucket merge. Consumed by the estimating
     query (approx_distinct_users) and the sketch-column packers
@@ -60,7 +62,7 @@ def _hll_rows(sf_dir: str, p: int, n_buckets: int) -> ray.data.Dataset:
             "event_type": pa.array(codes[ku // m]),
             "reg": ku % m,
             "rank": mx,
-            "bucket": (ku % m) % n_buckets})
+            "bucket": (ku % m) % _HLL_BUCKETS})
 
     def merge(g: pa.Table) -> pa.Table:
         et = np.asarray(g["event_type"])
@@ -76,8 +78,7 @@ def _hll_rows(sf_dir: str, p: int, n_buckets: int) -> ray.data.Dataset:
         .groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
-def approx_distinct_users(sf_dir: str, p: int = 12,
-                          n_buckets: int = 64) -> ray.data.Dataset:
+def approx_distinct_users(sf_dir: str, p: int = 12) -> ray.data.Dataset:
     """Approximate count(DISTINCT user_id) per event_type via HLL with
     m = 2**p registers.
 
@@ -105,12 +106,11 @@ def approx_distinct_users(sf_dir: str, p: int = 12,
             "event_type": pa.array([g["event_type"][0].as_py()]),
             "n_users_est": np.array([int(round(e))], dtype=np.int64)})
 
-    return _hll_rows(sf_dir, p, n_buckets) \
+    return _hll_rows(sf_dir, p) \
         .groupby("event_type").map_groups(estimate, batch_format="pyarrow")
 
 
-def heavy_hitters(sf_dir: str, k: int = 64,
-                  n_buckets: int | None = None) -> ray.data.Dataset:
+def heavy_hitters(sf_dir: str, k: int = 64) -> ray.data.Dataset:
     """Approximate heavy hitters (Misra-Gries / mergeable-summaries
     shape) over the documents token stream: <= ``k`` (token, est_cnt)
     rows whose estimates undercount by at most 2N/(k+1) total-weight
@@ -131,11 +131,9 @@ def heavy_hitters(sf_dir: str, k: int = 64,
     Pytest oracle: est <= true, true - est <= 2N/(k+1), and every
     token with true count > 2N/(k+1) survives. No SQL twin
     (approximate by design)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
-    from ..util import bucket_of
     from .text import _tokens_table
 
     def _mg(tok: np.ndarray, cnt: np.ndarray, cap: int):
@@ -282,8 +280,7 @@ def _hll_estimate(dense_ranks: np.ndarray) -> int:
     return int(round(e))
 
 
-def hll_sketches(sf_dir: str, p: int = 12,
-                 n_buckets: int = 64) -> ray.data.Dataset:
+def hll_sketches(sf_dir: str, p: int = 12) -> ray.data.Dataset:
     """Persistable HLL sketches — the sketch-AS-DATA pattern: one row
     per event_type whose ``sketch`` column is the dense m=2**p
     register array packed as m bytes (rank <= 64-p+1 fits uint8).
@@ -295,7 +292,7 @@ def hll_sketches(sf_dir: str, p: int = 12,
     register-max collapse, bounded bucket merge); the finalizer
     scatters the <= m sparse rows into the dense byte array."""
     m = 1 << p
-    base = _hll_rows(sf_dir, p, n_buckets)
+    base = _hll_rows(sf_dir, p)
 
     def pack(g: pa.Table) -> pa.Table:
         dense = np.zeros(m, np.uint8)
@@ -309,13 +306,13 @@ def hll_sketches(sf_dir: str, p: int = 12,
     return base.groupby("event_type").map_groups(pack, batch_format="pyarrow")
 
 
-def hll_union(sf_dir: str, p: int = 12, n_buckets: int = 64) -> ray.data.Dataset:
+def hll_union(sf_dir: str, p: int = 12) -> ray.data.Dataset:
     """Union stored HLL sketches into one corpus-wide distinct-user
     estimate WITHOUT touching the events table again: elementwise max
     over the per-type register bytes (HLL union is exact over unions
     of the underlying sets). Output one row (n_types, n_users_est)."""
     m = 1 << p
-    sketches = hll_sketches(sf_dir, p=p, n_buckets=n_buckets)
+    sketches = hll_sketches(sf_dir, p=p)
 
     def union(b: pa.Table) -> pa.Table:
         regs = np.zeros(m, np.uint8)

@@ -31,7 +31,8 @@ import ray.data
 from ..geo.tilemath import lonlat_to_tile
 from ..pipeline.flagship import geoparse, read_webpages
 from ..pipeline.synth import CITIES
-from ..util import bucket_of
+from ..util import bucket_of, derive_buckets, pair_key
+from .relational import _fq
 from .similarity import _cached_stage
 from .webcorpus import HOST_RE, _md5_u64
 
@@ -91,15 +92,14 @@ def nearest_city(webpages_path: str) -> ray.data.Dataset:
     return _mentions(webpages_path).map_batches(fn, batch_format="pyarrow")
 
 
-def host_bbox(webpages_path: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def host_bbox(webpages_path: str) -> ray.data.Dataset:
     """Per-host mention bounding box + centroid: (host, n_mentions,
     min/max lon/lat, cen_lon, cen_lat). min/max are exact; centroids
     sum EXACT integers (coords are 4-decimal, so round(c*10^4) is the
     same int64 on both engine and oracle, and integer sums are
     order-free — no float-sum merge-order parity risk), then one
     deterministic IEEE division, floor-quantized to 1e-6."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
 
     def partial(b: pa.Table) -> pa.Table:
         host = pc.struct_field(pc.extract_regex(b["url"], HOST_RE), "host")
@@ -175,8 +175,8 @@ def host_tile_cover(webpages_path: str, zoom: int = 4) -> ray.data.Dataset:
     return bbox.map_batches(cover, batch_format="pyarrow")
 
 
-def zonal_stats(webpages_path: str, zoom: int = 3, n_zones: int = 64,
-                n_buckets: int | None = None) -> ray.data.Dataset:
+def zonal_stats(webpages_path: str, zoom: int = 3,
+                n_zones: int = 64) -> ray.data.Dataset:
     """Zonal statistics over the per-host convex hulls: for every
     host's hull polygon, how many mention points (from ANY host) fall
     inside it, the hull's shoelace area (global-pixel^2 at ``zoom``)
@@ -205,8 +205,7 @@ def zonal_stats(webpages_path: str, zoom: int = 3, n_zones: int = 64,
     the bbox prefilter cannot prune them; candidate volume is
     points x n_zones by construction and n_zones is the knob that
     keeps it linear."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
     from ..codec.geometry import surveyor_batch
     from ..geo.rtree import PackedRTree
     from ..pipeline.linetiles import _global_px
@@ -489,8 +488,7 @@ def trajectory_lengths(webpages_path: str) -> ray.data.Dataset:
 
     return _mentions(webpages_path).map_batches(fn, batch_format="pyarrow")
 
-def comention_edges(webpages_path: str, res: int = 5,
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
     """Location co-occurrence graph: one edge per unordered pair of
     DISTINCT res-``res`` cells mentioned by the same url, weighted by
     the number of docs mentioning both — the self-join-on-doc edge
@@ -507,10 +505,8 @@ def comention_edges(webpages_path: str, res: int = 5,
     page), the knob a production run would cap; partials make the
     shuffle payload the number of distinct edges per batch, not the
     number of pair occurrences."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
     from ..geo import tilemath as tm
-    from ..util import pair_key
 
     def _edge_partials(cell_a, cell_b, n=None):
         order = np.lexsort((cell_b, cell_a))
@@ -644,8 +640,8 @@ def hotspot_regions(webpages_path: str, res: int = 5,
         "n_mentions": nm}))
 
 
-def cell_compact(webpages_path: str, zoom: int = 12, min_zoom: int = 6,
-                 n_buckets: int | None = None) -> ray.data.Dataset:
+def cell_compact(webpages_path: str, zoom: int = 12,
+                 min_zoom: int = 6) -> ray.data.Dataset:
     """Hierarchical cell COMPACTION (the H3/S2 `compact` operation —
     cell_cover's complement): replace every complete 4-sibling set of
     occupied cells with its parent, recursively from ``zoom`` up to
@@ -658,8 +654,7 @@ def cell_compact(webpages_path: str, zoom: int = 12, min_zoom: int = 6,
     one sort + reduceat sibling count, promoted parents carry up,
     remainders emit. Same bounded-table-folds-driver-side contract as
     hotspot_regions."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
     import pandas as pd
 
     from ..pipeline.flagship import assign  # driver-side only
@@ -758,8 +753,7 @@ def segment_bearings(webpages_path: str) -> ray.data.Dataset:
         .repartition(1).map_batches(merge, batch_format="pyarrow")
 
 
-def tile_adjacency(webpages_path: str, zoom: int = 12,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     """Occupied-tile adjacency graph: one edge per unordered pair of
     OCCUPIED tiles that touch in the 8-neighborhood at ``zoom``, with
     both tiles' mention counts — the spatial-join shape behind
@@ -784,8 +778,7 @@ def tile_adjacency(webpages_path: str, zoom: int = 12,
     Exact DuckDB twin: oracles.tile_adjacency_sql (self-join of the
     per-tile counts on |dx| <= 1 AND |dy| <= 1 with the same
     lexicographic order)."""
-    from ..util import bucket_of, resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
     from ..pipeline.flagship import assign
 
     ds = assign(_mentions(webpages_path), zoom, with_cells=False)
@@ -877,8 +870,7 @@ def tile_adjacency(webpages_path: str, zoom: int = 12,
         .groupby("bucket").map_groups(match, batch_format="pyarrow")
 
 
-def tile_moran(webpages_path: str, zoom: int = 12,
-               n_buckets: int | None = None) -> ray.data.Dataset:
+def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     """Moran's I spatial autocorrelation of mention counts over the
     occupied-tile rook+bishop (8-neighborhood) contiguity graph — THE
     classic "is the density clustered?" statistic, computed from six
@@ -896,7 +888,10 @@ def tile_moran(webpages_path: str, zoom: int = 12,
     Both sides evaluate the SAME expressions in the same order
     (left-assoc), then round half-away-from-zero to 6 — the repo's
     standard float-parity contract. Output one row: (n_tiles, w_sum,
-    moran_i, expected_i) where expected_i = -1/(N-1).
+    moran_i, expected_i) where expected_i = -1/(N-1). Degenerate
+    inputs give the twin's NULLs (DuckDB's x / 0 is NULL): moran_i is
+    NULL when there are no tiles, no edges or equal counts (den = 0),
+    expected_i when N = 1.
 
     Scale shape: the count aggregates fold from per-batch partials
     (three int64s per batch); the edge aggregates fold the same way
@@ -907,9 +902,9 @@ def tile_moran(webpages_path: str, zoom: int = 12,
     from ray.data.aggregate import Sum
 
     from ..pipeline.flagship import assign
-    from ..util import bucket_of
 
-    edges = tile_adjacency(webpages_path, zoom, n_buckets)
+    nb = derive_buckets(webpages_path, 256)
+    edges = tile_adjacency(webpages_path, zoom)
 
     def edge_partial(b: pa.Table) -> pa.Table:
         na = b["n_a"].to_numpy()
@@ -932,7 +927,7 @@ def tile_moran(webpages_path: str, zoom: int = 12,
         u, cnt = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(u),
                          "n": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(bucket_of(u, 256))})
+                         "bucket": pa.array(bucket_of(u, nb))})
 
     def count_merge(g: pa.Table) -> pa.Table:
         key = g["key"].to_numpy()
@@ -955,30 +950,25 @@ def tile_moran(webpages_path: str, zoom: int = 12,
         .aggregate(Sum("nt", alias_name="nt"), Sum("s1", alias_name="s1"),
                    Sum("s2", alias_name="s2"))
 
-    n_t = int(cagg["nt"])
-    s1 = int(cagg["s1"])
-    s2 = int(cagg["s2"])
-    e = int(eagg["e"] or 0)
-    sc = int(eagg["sc"] or 0)
-    sa = int(eagg["sa"] or 0)
-    xbar = s1 / n_t
-    num = 2.0 * (sc - xbar * sa + e * xbar * xbar)
-    den = s2 - n_t * xbar * xbar
-    moran = (n_t / (2.0 * e)) * num / den
-    q = moran * 1e6
-    moran6 = (np.floor(q + 0.5) if q >= 0 else np.ceil(q - 0.5)) / 1e6
-    qe = (-1.0 / (n_t - 1)) * 1e6
-    exp6 = (np.floor(qe + 0.5) if qe >= 0 else np.ceil(qe - 0.5)) / 1e6
+    n_t, s1, s2 = (int(cagg[c] or 0) for c in ("nt", "s1", "s2"))
+    e, sc, sa = (int(eagg[c] or 0) for c in ("e", "sc", "sa"))
+    moran = None  # NULL, as the twin's x / 0 is NULL
+    if n_t and e:
+        xbar = s1 / n_t
+        num = 2.0 * (sc - xbar * sa + e * xbar * xbar)
+        den = s2 - n_t * xbar * xbar
+        if den:
+            moran = float(_fq((n_t / (2.0 * e)) * num / den, 6))
     return ray.data.from_arrow(pa.table({
         "n_tiles": pa.array([n_t], pa.int64()),
         "w_sum": pa.array([2 * e], pa.int64()),
-        "moran_i": pa.array([float(moran6)], pa.float64()),
-        "expected_i": pa.array([float(exp6)], pa.float64())}))
+        "moran_i": pa.array([moran], pa.float64()),
+        "expected_i": pa.array([float(_fq(-1.0 / (n_t - 1), 6))
+                                if n_t != 1 else None], pa.float64())}))
 
 
 def tile_components(webpages_path: str, zoom: int = 12,
                     max_rounds: int = 32,
-                    n_buckets: int | None = None,
                     aqe_max_edges: int = 2_000_000) -> ray.data.Dataset:
     """Connected components over the occupied-tile adjacency graph —
     contiguous hotspot regions (urban areas, coastlines) labeled by
@@ -996,12 +986,11 @@ def tile_components(webpages_path: str, zoom: int = 12,
 
     Exact DuckDB twin: oracles.tile_components_sql (recursive
     reachability walk, min label per node)."""
-    from ..util import resolve_buckets
-    nb = resolve_buckets(n_buckets, webpages_path, 256)
+    nb = derive_buckets(webpages_path, 256)
     from .dedup import _join_partitions
 
     KX = np.int64(1) << np.int64(26)
-    pairs = tile_adjacency(webpages_path, zoom, n_buckets)
+    pairs = tile_adjacency(webpages_path, zoom)
     n_part = _join_partitions()
 
     def to_edges(t: pa.Table) -> pa.Table:
@@ -1109,8 +1098,7 @@ def tile_components(webpages_path: str, zoom: int = 12,
     return labels.map_batches(finalize, batch_format="pyarrow")
 
 
-def tile_hotspots(webpages_path: str, zoom: int = 12,
-                  n_buckets: int | None = None) -> ray.data.Dataset:
+def tile_hotspots(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     """Local hotspot lift per occupied tile (the Getis-Ord-flavored
     complement of tile_moran's global statistic): for each tile, the
     mean count of its occupied 8-neighbors relative to the global mean
@@ -1132,11 +1120,10 @@ def tile_hotspots(webpages_path: str, zoom: int = 12,
     from ray.data.aggregate import Sum
 
     from ..pipeline.flagship import assign
-    from ..util import bucket_of, resolve_buckets
-    nb = resolve_buckets(n_buckets, webpages_path, 256)
+    nb = derive_buckets(webpages_path, 256)
 
     KX = np.int64(1) << np.int64(26)
-    edges = tile_adjacency(webpages_path, zoom, n_buckets)
+    edges = tile_adjacency(webpages_path, zoom)
     ds = assign(_mentions(webpages_path), zoom, with_cells=False)
 
     def count_partial(b: pa.Table) -> pa.Table:

@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import cached_ref
+from ..util import bucket_of, cached_ref, derive_buckets
 
 TOKEN_RE = r"[0-9A-Za-z_]+"
 STOP_RE = r"\b(?:the|a|of|and|to)\b"
@@ -236,8 +236,7 @@ def _tokens_table(b: pa.Table) -> pa.Table:
     return t.filter(pc.not_equal(t["token"], ""))
 
 
-def vocab_topk(sf_dir: str, k: int = 100,
-               n_buckets: int | None = None) -> ray.data.Dataset:
+def vocab_topk(sf_dir: str, k: int = 100) -> ray.data.Dataset:
     """Corpus vocabulary: top-k tokens by document frequency (ties by
     token ascending), with total term frequency — the vocabulary-build
     pass of a training-data pipeline.
@@ -249,11 +248,9 @@ def vocab_topk(sf_dir: str, k: int = 100,
     key.  ONE bounded groupby merges per-token partials and keeps each
     bucket's top-k, so the driver-side sort sees <= k x n_buckets
     rows no matter the corpus vocabulary size."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
-    from ..util import bucket_of
 
     _EMPTY = pa.schema([("token", pa.string()), ("df", pa.int64()),
                         ("tf", pa.int64()), ("bucket", pa.int64())])
@@ -417,8 +414,7 @@ def doc_tfidf_top(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
         fn, batch_format="pyarrow")
 
 
-def inverted_index(sf_dir: str, k: int = 16,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
     """Capped inverted index: per token, document frequency + the
     first min(k, df) doc_ids ascending as a comma-joined posting
     string — the index-build pass of a retrieval pipeline, with the
@@ -430,11 +426,9 @@ def inverted_index(sf_dir: str, k: int = 16,
     carry (token, partial_df, id list) into a bounded md5(token)
     bucket.  Merge: sum df, k smallest of the union of partial lists
     (each <= k ids, so merge work per token is O(parts * k))."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
-    from ..util import bucket_of
 
     _EMPTY = pa.schema([("token", pa.string()), ("df", pa.int64()),
                         ("ids", pa.list_(pa.int64())),
@@ -680,8 +674,7 @@ def unigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         fn, batch_format="pyarrow")
 
-def dedup_chunks(sf_dir: str, chunk_words: int = 4,
-                 n_buckets: int | None = None) -> ray.data.Dataset:
+def dedup_chunks(sf_dir: str, chunk_words: int = 4) -> ray.data.Dataset:
     """C4-style corpus-wide duplicate-span removal: split every doc
     into fixed ``chunk_words``-word chunks (the ``chunk_documents``
     grammar), keep each distinct chunk's globally FIRST occurrence
@@ -699,11 +692,9 @@ def dedup_chunks(sf_dir: str, chunk_words: int = 4,
     16 hex chars of md5 (the repo's md5-derived parity rule), so the
     DuckDB twin partitions by substr(md5(chunk), 1, 16) and groups
     byte-identically."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 512)
     import hashlib
 
-    from ..util import bucket_of
 
     def tag(b: pa.Table) -> pa.Table:
         h = np.fromiter(
@@ -775,7 +766,6 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
 
     SQL twin: sum(n) OVER (ORDER BY doc_id ROWS BETWEEN UNBOUNDED
     PRECEDING AND 1 PRECEDING) + unnest(range(s//L, (s+n-1)//L + 1))."""
-    from ..util import bucket_of
     L = np.int64(seq_len)
 
     ds = _docs(sf_dir, ["doc_id", "text"])
@@ -844,8 +834,8 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
         .groupby("shard").map_groups(expand, batch_format="pyarrow")
 
 
-def bigram_pmi(sf_dir: str, vocab_k: int = 256, min_count: int = 5,
-               n_buckets: int | None = None) -> ray.data.Dataset:
+def bigram_pmi(sf_dir: str, vocab_k: int = 256,
+               min_count: int = 5) -> ray.data.Dataset:
     """Bigram PMI scoring (the phrase-detection pass of an NLP
     pipeline): for every adjacent token pair whose BOTH members are in
     the corpus top-``vocab_k`` vocabulary, pmi_micro = floor(ln(
@@ -861,8 +851,7 @@ def bigram_pmi(sf_dir: str, vocab_k: int = 256, min_count: int = 5,
 
     The float ln matches the oracle by the repo's floor-quantize rule
     (same double ops in the same order: ln((n_xy*N)/(tf1*tf2)))."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
     from ray.data.aggregate import Sum
 
     vocab = vocab_topk(sf_dir, k=vocab_k).to_pandas()
@@ -1167,8 +1156,7 @@ def compression_ratio(sf_dir: str, level: int = 6) -> ray.data.Dataset:
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         fn, batch_format="pyarrow")
 
-def bigram_logprob(sf_dir: str, vocab_k: int = 256,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
     """Bigram-LM document scoring — the next rung above
     ``unigram_logprob`` on the LM-quality-filter ladder: for every
     adjacent in-vocabulary token pair, lp = floor(ln((c(w1,w2) + 1) /
@@ -1184,8 +1172,7 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256,
     shuffle-free scoring pass looks pairs up via searchsorted against
     the broadcast count table. Docs never split across batches, so
     adjacency and per-doc sums complete in-batch."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
     from ray.data.aggregate import Sum  # noqa: F401  (parity w/ unigram)
 
     vocab = vocab_topk(sf_dir, k=vocab_k).to_pandas()
@@ -1335,8 +1322,7 @@ def fuzzy_search(sf_dir: str,
         .sort(["dist", "doc_id"]).limit(k)
 
 
-def char_trigrams(sf_dir: str, k: int = 20,
-                  n_buckets: int | None = None) -> pd.DataFrame:
+def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
     """Per-language character-trigram profile: the top-k most frequent
     3-char substrings per lang with exact counts — the feature table a
     statistical language-ID model trains on (document fingerprinting
@@ -1351,8 +1337,7 @@ def char_trigrams(sf_dir: str, k: int = 20,
     ONE bucket, so per-bucket top-k candidates are globally sound);
     the driver folds k*buckets candidate rows. State is bounded by
     the trigram VOCABULARY, not the corpus size."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
     from ray.data.aggregate import Sum
 
     from raytiles.util import bucket_of
@@ -1478,8 +1463,7 @@ def oov_rate(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
         .map_batches(score, batch_format="pyarrow")
 
 
-def zipf_slope(sf_dir: str, topn: int = 100,
-               n_buckets: int | None = None) -> ray.data.Dataset:
+def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
     """Zipf rank-frequency fit per source: OLS slope of ln(tf) on
     ln(rank) over the top-``topn`` tokens (ties tf DESC, token ASC) —
     the corpus-health statistic a curation pipeline tracks (natural
@@ -1491,11 +1475,9 @@ def zipf_slope(sf_dir: str, topn: int = 100,
     regression runs over INT64 micro-nat quantized logs (the unigram
     trick), so every sum is order-free and the twin's HUGEINT sums
     cast to DOUBLE the same way."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
-    from ..util import bucket_of
     from .relational import _fq
 
     _EMPTY = pa.schema([("source", pa.string()), ("token", pa.string()),

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, cached_ref
+from ..util import bucket_of, cached_ref, derive_buckets, pair_key
 from .dedup import _join_partitions
 from .relational import _p
 
@@ -95,8 +95,8 @@ def _nation_region(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
-                      date: str = "1998-01-01", k: int = 10,
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+                      date: str = "1998-01-01",
+                      k: int = 10) -> ray.data.Dataset:
     """TPC-H Q3 shape: for customers in one market segment, revenue of
     orders placed before D from lineitems shipped after D; top-k
     orders by revenue (tie-break orderkey ASC).
@@ -106,8 +106,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
     before its ONE bounded-bucket shuffle; the two order-keyed sides
     meet in a bounded-partition hash join; top-k is per-block partial
     top-k then a single-block final — no global sort."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     d_us = _ts_us(date)
 
     cust = _dim(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -446,15 +445,13 @@ def product_profit(sf_dir: str, prefix: str = "red ",
 # ---------------------------------------------------------------------------
 
 def important_parts(sf_dir: str, theta_num: int = 8,
-                    theta_den: int = 10000,
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+                    theta_den: int = 10000) -> ray.data.Dataset:
     """TPC-H Q11 shape: parts whose total revenue exceeds theta x the
     global revenue. The per-part aggregate is bounded by the part
     CATALOG (dimension-sized by definition), so materializing it once
     to derive the global scalar is scale-safe; the threshold predicate
     is the exact integer test cents*theta_den > theta_num*total."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     def partial(b: pa.Table) -> pa.Table:
         cents = _cents(b["l_extendedprice"].to_numpy()
                        * (1.0 - b["l_discount"].to_numpy()))
@@ -501,8 +498,7 @@ def important_parts(sf_dir: str, theta_num: int = 8,
 # Q13: customer order-count distribution (left join incl. zero bin)
 # ---------------------------------------------------------------------------
 
-def custdist(sf_dir: str, excl_priority: str = "1-URGENT",
-             n_buckets: int | None = None) -> ray.data.Dataset:
+def custdist(sf_dir: str, excl_priority: str = "1-URGENT") -> ray.data.Dataset:
     """TPC-H Q13 shape: histogram of per-customer order counts
     (orders outside one priority class), INCLUDING the zero bin from
     the left join — customers with no qualifying orders.
@@ -511,8 +507,7 @@ def custdist(sf_dir: str, excl_priority: str = "1-URGENT",
     histogram domain (distinct order counts) is tiny. The zero bin is
     derived arithmetically (catalog size minus customers seen) instead
     of materializing a join against every customer row."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/orders.parquet", 128)
+    n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 128)
     n_cust = int(_dim(sf_dir, "customer", ["c_custkey"]).num_rows)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -612,8 +607,7 @@ def top_supplier(sf_dir: str, date_lo: str = "1996-01-01",
 # ---------------------------------------------------------------------------
 
 def part_supp_counts(sf_dir: str, excl_brand: str = "Brand#5",
-                     sizes=(1, 9, 15, 25, 35, 49),
-                     n_buckets: int | None = None) -> ray.data.Dataset:
+                     sizes=(1, 9, 15, 25, 35, 49)) -> ray.data.Dataset:
     """TPC-H Q16 shape over the observed lineitem (partkey, suppkey)
     relation (this schema has no partsupp): distinct suppliers per
     (brand, type, size) for size IN a set and brand != one brand,
@@ -623,9 +617,7 @@ def part_supp_counts(sf_dir: str, excl_brand: str = "Brand#5",
     Two bounded shuffles: distinct (part, supp) pairs bucketed by pair
     hash, then distinct (group, supp) bucketed by group-supp hash; the
     final count domain is brands x types x sizes."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
-    from ..util import pair_key
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
 
     part = _dim(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"])
     keep = pc.and_(pc.not_equal(part["p_brand"], excl_brand),
@@ -716,8 +708,7 @@ def part_supp_counts(sf_dir: str, excl_brand: str = "Brand#5",
 BIG_ORDERS_BROADCAST_ROWS = 1_000_000
 
 
-def big_orders(sf_dir: str, qty_thresh: int = 150,
-               n_buckets: int | None = None) -> ray.data.Dataset:
+def big_orders(sf_dir: str, qty_thresh: int = 150) -> ray.data.Dataset:
     """TPC-H Q18 shape: orders whose total quantity exceeds T, with
     customer name and order header attached. Quantities are integral
     in this dataset and carried as int64 (exact HAVING predicate).
@@ -731,8 +722,7 @@ def big_orders(sf_dir: str, qty_thresh: int = 150,
     - otherwise: the bounded-partition hash join (unbounded-safe).
     Either plan produces identical rows; customer is a broadcast dim
     in both."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     def partial(b: pa.Table) -> pa.Table:
         qty = b["l_quantity"].to_numpy().astype(np.int64)
         t = pa.table({"l_orderkey": b["l_orderkey"], "qty": qty})
@@ -881,8 +871,8 @@ def banded_revenue(sf_dir: str, bands=_Q19_BANDS) -> ray.data.Dataset:
 
 def excess_shippers(sf_dir: str, prefix: str = "red ",
                     factor_num: int = 3, factor_den: int = 10,
-                    date_lo: str = "1996-01-01", date_hi: str = "1997-01-01",
-                    n_buckets: int | None = None) -> ray.data.Dataset:
+                    date_lo: str = "1996-01-01",
+                    date_hi: str = "1997-01-01") -> ray.data.Dataset:
     """TPC-H Q20 shape (availqty adapted to shipped volume): suppliers
     who shipped more than factor x a part's total windowed quantity for
     any name-filtered part. The fraction test is the exact integer
@@ -892,8 +882,7 @@ def excess_shippers(sf_dir: str, prefix: str = "red ",
     so the per-part total and the fraction filter happen inside one
     bounded map_groups; distinct qualifying suppliers are supplier-
     catalog-bounded and merge in one block."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     lo, hi = _ts_us(date_lo), _ts_us(date_hi)
 
     part = _dim(sf_dir, "part", ["p_partkey", "p_name"])
@@ -954,15 +943,14 @@ def excess_shippers(sf_dir: str, prefix: str = "red ",
 # Q2: min-cost supplier per part (argmin join with deterministic ties)
 # ---------------------------------------------------------------------------
 
-def min_cost_supplier(sf_dir: str, size: int = 15, region: str = "EUROPE",
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+def min_cost_supplier(sf_dir: str, size: int = 15,
+                      region: str = "EUROPE") -> ray.data.Dataset:
     """TPC-H Q2 shape (partsupp-free adaptation): for each part of one
     size, the region supplier with the LOWEST total shipped cost cents
     for that part (tie-break suppkey ASC) — an argmin-per-group join.
     Cost is exact int cents so the argmin has no float ambiguity; the
     oracle's row_number() twin orders by the same (cents, suppkey)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/lineitem.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     part = _dim(sf_dir, "part", ["p_partkey", "p_name", "p_size"])
     part = part.filter(pc.equal(part["p_size"], size))
     pk, pname = _sorted_pair(part["p_partkey"].to_numpy(),

@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of
+from ..util import bucket_of, derive_buckets
 from .text import NON_TOKEN_RE, _tokens_table
 
 HOST_RE = r"^https?://(?P<host>[^/]+)/"
@@ -93,15 +93,14 @@ def train_split(sf_dir: str, val_pct: int = 5,
 # per-host aggregation over the webpages table
 # ---------------------------------------------------------------------------
 
-def host_stats(webpages_path: str, n_buckets: int | None = None) -> ray.data.Dataset:
+def host_stats(webpages_path: str) -> ray.data.Dataset:
     """Per-host corpus stats: (host, n_docs, total_chars, n_en).
 
     Partial: one RE2 extract + one Arrow hash-aggregate per batch, so
     the shuffle moves <= hosts_in_batch rows per batch; md5-hashed
     hosts land in a bounded bucket key (hosts are unbounded at crawl
     scale — never the raw groupby key). Final: sum-merge per bucket."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, webpages_path, 256)
+    n_buckets = derive_buckets(webpages_path, 256)
 
     def partial(b: pa.Table) -> pa.Table:
         host = pc.struct_field(pc.extract_regex(b["url"], HOST_RE), "host")
@@ -135,8 +134,8 @@ def host_stats(webpages_path: str, n_buckets: int | None = None) -> ray.data.Dat
 # distributed anti-join
 # ---------------------------------------------------------------------------
 
-def customers_without_big_orders(sf_dir: str, threshold: float = 300000.0,
-                                 n_buckets: int | None = None) -> ray.data.Dataset:
+def customers_without_big_orders(
+        sf_dir: str, threshold: float = 300000.0) -> ray.data.Dataset:
     """Anti-join: customers with NO order above ``threshold`` (TPC-H
     Q22 shape), both sides big. The probe side prunes at the read
     (row filter pushed to the parquet scan) and collapses each batch
@@ -145,8 +144,7 @@ def customers_without_big_orders(sf_dir: str, threshold: float = 300000.0,
     the per-bucket finalizer sees every order key that could match its
     customers and one vectorized np.isin emits the non-matches.
     Shuffle payload: distinct keys per batch, never the order rows."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/customer.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/customer.parquet", 256)
 
     def cust_tag(b: pa.Table) -> pa.Table:
         key = b["c_custkey"].to_numpy()
@@ -305,8 +303,7 @@ def doc_repetition(sf_dir: str) -> ray.data.Dataset:
         .map_batches(fn, batch_format="pyarrow")
 
 
-def boilerplate_ngrams(sf_dir: str, min_docs: int = 2,
-                       n_buckets: int | None = None) -> ray.data.Dataset:
+def boilerplate_ngrams(sf_dir: str, min_docs: int = 2) -> ray.data.Dataset:
     """Cross-document repeated-n-gram (boilerplate) scoring: per doc,
     how many of its DISTINCT word 5-grams occur in >= min_docs docs
     corpus-wide — (doc_id, n_grams, n_boiler, boiler_ratio). The
@@ -322,8 +319,7 @@ def boilerplate_ngrams(sf_dir: str, min_docs: int = 2,
     boilerplate assumption (repeated-content vocabulary << corpus;
     same contract as decontaminate's benchmark set). Pass 2 is a
     shuffle-free np.isin scan per batch."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 256)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
 
     path = f"{sf_dir}/documents.parquet"
 
@@ -404,8 +400,7 @@ def mixture_sample(sf_dir: str) -> ray.data.Dataset:
 # per-source document cap (host-level downsampling)
 # ---------------------------------------------------------------------------
 
-def per_source_cap(sf_dir: str, k: int = 10,
-                   n_buckets: int | None = None) -> ray.data.Dataset:
+def per_source_cap(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     """Keep at most k documents per source (smallest doc_ids win) —
     the host-level downsampling pass of crawl curation (one domain
     must not dominate the training mix).
@@ -416,8 +411,7 @@ def per_source_cap(sf_dir: str, k: int = 10,
     batch); ONE bounded splitmix(md5(source))-bucket groupby re-ranks
     and emits the global winners. No full sort, no per-source group
     materialization beyond a bucket."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     def _cap(t: pa.Table) -> pa.Table:
         t = t.sort_by([("source", "ascending"), ("doc_id", "ascending")])
         s = t["source"].to_numpy(zero_copy_only=False)
@@ -448,8 +442,7 @@ def per_source_cap(sf_dir: str, k: int = 10,
 # per-source KL divergence from the corpus unigram distribution
 # ---------------------------------------------------------------------------
 
-def source_kl(sf_dir: str, vocab_k: int = 100,
-              n_buckets: int | None = None) -> ray.data.Dataset:
+def source_kl(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
     """Data-mixing diagnostic: KL(source || corpus) over the top-V
     vocabulary's unigram distributions — how far each source's token
     mix sits from the corpus average (high-KL sources skew a training
@@ -464,8 +457,7 @@ def source_kl(sf_dir: str, vocab_k: int = 100,
     back and each source's KL finishes inside its bucket group —
     sources are hash-partitioned, so every (source, token) row of a
     source is local to one group."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     from .text import vocab_topk
 
     vocab = vocab_topk(sf_dir, vocab_k).to_pandas()["token"].tolist()
@@ -537,8 +529,7 @@ def source_kl(sf_dir: str, vocab_k: int = 100,
                                                batch_format="pyarrow")
 
 
-def temperature_weights(sf_dir: str, alpha: float = 0.7,
-                        n_buckets: int | None = None) -> "object":
+def temperature_weights(sf_dir: str, alpha: float = 0.7) -> "object":
     """Temperature-scaled mixture weights (the multilingual /
     multi-domain sampling rule w_s = (n_s/N)^alpha, renormalized):
     upweights small sources, damps dominant ones. Also reports each
@@ -549,8 +540,7 @@ def temperature_weights(sf_dir: str, alpha: float = 0.7,
     batch| rows; ONE bounded bucket groupby merges; the normalization
     runs driver-side over the RESULT-SIZED per-source table (that
     table IS the query output — nothing unbounded materializes)."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 64)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import pandas as pd
 
     def partial(b: pa.Table) -> pa.Table:
@@ -592,8 +582,7 @@ def temperature_weights(sf_dir: str, alpha: float = 0.7,
 # ---------------------------------------------------------------------------
 
 def curation_manifest(sf_dir: str, score_min: float = 0.5,
-                      lang_keep: str = "en",
-                      n_buckets: int | None = None) -> ray.data.Dataset:
+                      lang_keep: str = "en") -> ray.data.Dataset:
     """The composed keep/weight decision of the whole curation
     pipeline, one row per document: exact-dedup survivorship x quality
     score x language id x temperature mixture weight ->
@@ -607,8 +596,7 @@ def curation_manifest(sf_dir: str, score_min: float = 0.5,
     splitmix(doc_id) bucket groupby joins flags to survivorship.
     Thresholds compare floor-quantized values on both sides, so the
     keep boundary is bit-exact vs the SQL twin."""
-    from ..util import resolve_buckets
-    n_buckets = resolve_buckets(n_buckets, f"{sf_dir}/documents.parquet", 512)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 512)
     import pandas as pd
 
     from .dedup import exact_dedup

@@ -21,6 +21,7 @@ from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
                      pack_tile_partials)
 
 DEFAULT_ZOOM = 12
+_CELL_BUCKETS = 1024  # cell_counts_pipeline's exchange buckets
 
 
 def read_webpages(path: str, columns=("url", "text")) -> ray.data.Dataset:
@@ -144,8 +145,7 @@ def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dat
     return encode_tiles(ds)
 
 
-def cell_counts_pipeline(webpages_path: str, res: int = 5,
-                         n_buckets: int = 1024) -> ray.data.Dataset:
+def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
     """Per-cell mention + distinct-doc counts, DISTRIBUTED (round 1
     aggregated on the driver — the one gate operator that wasn't):
     the per-batch partial collapses to one row per (cell, url, batch),
@@ -158,7 +158,7 @@ def cell_counts_pipeline(webpages_path: str, res: int = 5,
         part = pa.TableGroupBy(t, ["cell_r5", "url"]).aggregate(
             [([], "count_all")])
         part = part.rename_columns(["cell_r5", "url", "n"])
-        bucket = bucket_of(part["cell_r5"].to_numpy(), n_buckets)
+        bucket = bucket_of(part["cell_r5"].to_numpy(), _CELL_BUCKETS)
         return part.set_column(2, "n", pc.cast(part["n"], pa.int64())) \
             .append_column("bucket", pa.array(bucket))
 

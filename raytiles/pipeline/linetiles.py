@@ -35,6 +35,7 @@ from .flagship import geoparse, read_webpages
 
 LAYER = b"lines"
 EXTENT = 4096
+_N_BUCKETS = 256  # segment exchange buckets
 
 _SEG_SCHEMA = pa.schema([
     ("z", pa.int32()), ("x", pa.int32()), ("y", pa.int32()),
@@ -55,7 +56,7 @@ def _global_px(lon: np.ndarray, lat: np.ndarray, z: int) -> tuple:
     return gx, gy
 
 
-def segments_stage(zoom: int, buffer: int, n_buckets: int = 256):
+def segments_stage(zoom: int, buffer: int):
     """Returns the per-batch mentions -> clipped (segment, tile) rows
     transform (a closure over the zoom/buffer constants)."""
     n_tiles = 1 << zoom
@@ -113,7 +114,7 @@ def segments_stage(zoom: int, buffer: int, n_buckets: int = 256):
             "seg_pos": spos[rep],
             "lx0": lx0[live], "ly0": ly0[live],
             "lx1": lx1[live], "ly1": ly1[live],
-            "bucket": pa.array(bucket_of(tkey, n_buckets))},
+            "bucket": pa.array(bucket_of(tkey, _N_BUCKETS))},
             schema=_SEG_SCHEMA)
 
     return fn

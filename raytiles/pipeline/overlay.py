@@ -39,6 +39,7 @@ from ..ops.sketch import _hll_estimate
 from ..util import bucket_of
 
 _N_BUCKETS = 512
+_STATS_BUCKETS = 64  # tilestats' register-merge buckets
 
 
 def _tile_key(z: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -448,8 +449,7 @@ def _ts_value_hash(val) -> int:
         hashlib.md5(tag.encode() + b"\x00" + raw).digest()[:8], "big")
 
 
-def tilestats(tiles: ray.data.Dataset,
-              n_buckets: int = 64) -> ray.data.Dataset:
+def tilestats(tiles: ray.data.Dataset) -> ray.data.Dataset:
     """Tile-set statistics (the mapbox-tilestats artifact every tile
     pipeline publishes): per layer — tile / per-geometry-type feature
     counts — and per (layer, attribute key) — feature count + APPROX
@@ -511,7 +511,7 @@ def tilestats(tiles: ray.data.Dataset,
             "n": np.asarray(ns, np.int64),
             "reg": np.asarray(regs, np.int64),
             "rank": np.asarray(ranks, np.int64),
-            "bucket": kh % n_buckets})
+            "bucket": kh % _STATS_BUCKETS})
 
     def merge(g: pa.Table) -> pa.Table:
         lay_a = np.asarray(g["layer"].to_numpy(zero_copy_only=False))
@@ -554,8 +554,7 @@ def tilestats(tiles: ray.data.Dataset,
         .groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
-def mvt_downzoom(tiles: ray.data.Dataset,
-                 n_buckets: int = _N_BUCKETS) -> ray.data.Dataset:
+def mvt_downzoom(tiles: ray.data.Dataset) -> ray.data.Dataset:
     """Build the PARENT zoom level purely in tile space (the inverse
     of overzooming — no re-read of the source corpus): each tile at
     zoom z maps its coordinates into its parent's grid as
@@ -580,7 +579,7 @@ def mvt_downzoom(tiles: ray.data.Dataset,
         key = (x >> 1) << np.int64(32) | (y >> 1)
         return pa.table({
             "z": z - 1, "px": x >> 1, "py": y >> 1, "cx": x, "cy": y,
-            "mvt": t["mvt"], "bucket": bucket_of(key, n_buckets)})
+            "mvt": t["mvt"], "bucket": bucket_of(key, _N_BUCKETS)})
 
     def merge(g: pa.Table) -> pa.Table:
         pz_a = g["z"].to_numpy()

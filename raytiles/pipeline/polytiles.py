@@ -48,6 +48,7 @@ from .linetiles import _global_px
 
 LAYER = b"hulls"
 EXTENT = 4096
+_N_BUCKETS = 256  # hull and ring exchange buckets
 
 _HULL_SCHEMA = pa.schema([
     ("host", pa.string()), ("n_mentions", pa.int64()),
@@ -174,8 +175,7 @@ def _unpack_rings(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([[0], np.cumsum(counts)]).astype(np.int64))
 
 
-def host_hulls(webpages_path: str, zoom: int = 3,
-               n_buckets: int = 256) -> ray.data.Dataset:
+def host_hulls(webpages_path: str, zoom: int = 3) -> ray.data.Dataset:
     """Per-host convex hull of mention positions in global pixel space
     at ``zoom``: (host, n_mentions, pts) with pts the packed open hull
     ring (positive shoelace). Hosts whose distinct mentions are
@@ -195,7 +195,7 @@ def host_hulls(webpages_path: str, zoom: int = 3,
             "n_mentions": pa.array(n_mentions, pa.int64()),
             "pts": _pack_rings(fx, fy, hoffs),
             "bucket": pa.array(bucket_of(_md5_u64(hosts.tolist()),
-                                         n_buckets))},
+                                         _N_BUCKETS))},
             schema=_HULL_SCHEMA)
 
     def merge(g: pa.Table) -> pa.Table:
@@ -239,7 +239,7 @@ def host_hulls(webpages_path: str, zoom: int = 3,
         merge, batch_format="pyarrow")
 
 
-def _tiling_stage(zoom: int, buffer: int, n_buckets: int = 256):
+def _tiling_stage(zoom: int, buffer: int):
     """hulls -> clipped per-(tile, host) ring rows. One clip_rings call
     per batch covers every (hull, cover-tile) pair."""
     n_tiles = 1 << zoom
@@ -362,7 +362,7 @@ def _tiling_stage(zoom: int, buffer: int, n_buckets: int = 256):
             "host": pa.array(host[prep[pair]].tolist(), pa.string()),
             "n_mentions": nm[prep[pair]],
             "ring": ring_col,
-            "bucket": pa.array(bucket_of(tkey, n_buckets))})
+            "bucket": pa.array(bucket_of(tkey, _N_BUCKETS))})
 
     return fn
 

@@ -4,7 +4,9 @@ The repo's shuffle discipline (CLAUDE.md): never groupby a
 high-cardinality key — group by a splitmix-mixed hash bucket with a
 bounded domain and vectorize within the group. This module is the one
 place that mixing lives so every operator derives buckets the same way
-(never Python hash(), which is salted per process).
+(never Python hash(), which is salted per process), and the one place
+that sizes layouts: ``layout`` for read blocks and reducers,
+``derive_buckets`` for every op's bucket count.
 """
 
 from __future__ import annotations
@@ -88,43 +90,51 @@ def layout(nbytes: int) -> tuple[int, int]:
     return blocks, min(MAX_REDUCERS, blocks)
 
 
-def derive_buckets(path: str, floor: int = 256, cap: int = 1 << 20,
-                   target_bytes: int = 32 << 20) -> int:
-    """Bounded-bucket count derived from INPUT SIZE (``input_bytes``),
-    the size-derived-layout idea of ``layout`` applied to every bucketed
-    ``groupby("bucket").map_groups`` op: a FIXED bucket count
-    means per-group block size grows linearly with input (256 buckets
-    over 10^12 rows = ~4B rows in one group block), so instead the
-    count scales so each bucket sees ~``target_bytes`` of compressed
-    input (~3x that in heap once decoded).
+BUCKET_TARGET_BYTES = 32 << 20  # input bytes per exchange bucket
+MAX_BUCKETS = 1 << 20          # bound on a derived bucket count
 
-    - ``floor`` keeps the historical bounded-domain layout at test
-      scale (sf0.001-0.1 inputs are far below floor*target_bytes, so
-      derived == floor == the old fixed default and RESULTS at small
-      sf are a pure re-layout, i.e. unchanged).
-    - ``cap`` bounds the group-key domain (groups are cheap — the sort
-      shuffle's cost rides block counts, not key cardinality — but a
-      runaway domain adds per-group dispatch overhead).
-    - Derived from DATA size, not cluster size, on purpose: the same
-      dataset gets the same layout at N and 4N nodes (cpu-scaled
-      counts made the 4N leg pay a wider shuffle for nothing — the
-      measured flagship lesson).
-    """
+
+def derive_buckets(path: str, floor: int) -> int:
+    """Hash-bucket count of a bounded-bucket exchange over the table
+    at ``path``: the one place every bucketed op gets its count (ops
+    take no bucket-count option; the few whose count never follows
+    the input keep a module constant instead).
+
+    - One bucket per ``BUCKET_TARGET_BYTES`` of on-disk input
+      (``input_bytes``; ~3x that in heap once decoded), so a bucket's
+      group block stays bounded as the input grows: a fixed count of
+      256 over 10^12 rows would put ~4B rows in one group block.
+    - ``floor`` is the op's historical fixed count. Every tier up to
+      sf0.1 sizes far below ``floor * BUCKET_TARGET_BYTES``, so there
+      the count is the floor and RESULTS_SHA is unchanged. Unsized
+      inputs (non-local or missing paths size as 0) take the floor.
+    - ``MAX_BUCKETS`` bounds the group-key domain: groups are cheap
+      (the sort exchange's cost rides block counts, not key
+      cardinality), but a runaway domain adds per-group dispatch.
+    - A function of data size, never of the cluster: the same dataset
+      gets the same layout at N and 4N nodes.
+
+    ``RAYTILES_FORCE_BUCKETS`` overrides the count for every op at
+    once; tests use it to check that output does not depend on it."""
     forced = os.environ.get("RAYTILES_FORCE_BUCKETS")
-    if forced:  # test hook: layout-invariance runs force a weird count
+    if forced:
         return int(forced)
-    return int(min(cap, max(floor, input_bytes(path) // target_bytes)))
+    return int(min(MAX_BUCKETS,
+                   max(floor, input_bytes(path) // BUCKET_TARGET_BYTES)))
 
 
-def resolve_buckets(n_buckets, path: str, floor: int) -> int:
-    """Bucket-count resolution for every bucketed op: an explicit
-    ``n_buckets`` wins; ``None`` derives from the op's input-table size
-    (``derive_buckets``), with ``floor`` = the op's historical fixed
-    default so small-scale layouts (and RESULTS_SHA) are unchanged.
-    Driver-side only — runs at op construction, never on workers."""
-    if n_buckets is not None:
-        return int(n_buckets)
-    return derive_buckets(path, floor=floor)
+def sum_by_key(key: np.ndarray, *vals: np.ndarray):
+    """(unique sorted keys, per-key sums of each val array) via one
+    argsort + add.reduceat — the shared Arrow-native bucket-merge
+    kernel (sequential adds, bit-identical to pandas' group_add for
+    ints and for floats in the same order)."""
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    if len(k) == 0:
+        return (k,) + tuple(v[:0] for v in vals)
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    return (k[starts],) + tuple(np.add.reduceat(v[order], starts)
+                                for v in vals)
 
 
 def pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:

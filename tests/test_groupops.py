@@ -220,7 +220,7 @@ def test_user_features_pivot():
                        sums.sort_index().round(6), atol=1e-5)
 
 
-def test_group_mode_matches_pandas_argmax():
+def test_group_mode_matches_pandas_argmax(monkeypatch):
     """Modal user per event type with (count desc, user asc) ties —
     exact vs a pandas recompute."""
     import numpy as np
@@ -228,7 +228,8 @@ def test_group_mode_matches_pandas_argmax():
 
     from raytiles.ops.groupops import group_mode
     from tests.conftest import SF_SMOKE
-    got = group_mode(SF_SMOKE, n_buckets=16).to_pandas() \
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "16")  # non-default
+    got = group_mode(SF_SMOKE).to_pandas() \
         .sort_values("event_type").reset_index(drop=True)
     ev = pq.read_table(f"{SF_SMOKE}/events.parquet",
                        columns=["event_type", "user_id"]).to_pandas()

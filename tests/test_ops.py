@@ -750,7 +750,7 @@ def test_pack_sequences_single_process_oracle():
     assert (per_doc["lo"] == 0).all()
 
 
-def test_heavy_hitters_misra_gries_guarantees():
+def test_heavy_hitters_misra_gries_guarantees(monkeypatch):
     """est <= true; true - est <= 2N/(k+1); every token with true
     count > 2N/(k+1) survives the sketch — the mergeable-summaries
     bound with one bucket-level and one final compression."""
@@ -758,7 +758,8 @@ def test_heavy_hitters_misra_gries_guarantees():
     from raytiles.ops.sketch import heavy_hitters
     from raytiles.ops.text import TOKEN_RE
     k = 16
-    got = heavy_hitters(SF_SMOKE, k=k, n_buckets=8).to_pandas()
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "8")  # non-default
+    got = heavy_hitters(SF_SMOKE, k=k).to_pandas()
     assert len(got) <= k
     docs = pq.read_table(f"{SF_SMOKE}/documents.parquet",
                          columns=["text"]).to_pandas()

@@ -154,41 +154,36 @@ def test_no_uint64_output_columns_in_stages():
     assert not offenders, offenders
 
 
-def test_derive_buckets_scaling(tmp_path):
+def test_derive_buckets_scaling(tmp_path, monkeypatch):
     """Bucket-count derivation: floor at small inputs (historical
     layouts unchanged), linear in input bytes past the floor, capped,
-    explicit override wins, env hook forces."""
-    import os
-
-    from raytiles.util import derive_buckets, input_bytes, resolve_buckets
+    env hook forces."""
+    from raytiles import util
+    from raytiles.util import derive_buckets, input_bytes
 
     f = tmp_path / "t.parquet"
     f.write_bytes(b"x" * 1024)  # 1 KiB input
     assert derive_buckets(str(f), floor=256) == 256   # below floor
     # linear region: 100 buckets' worth of bytes at a tiny target
-    assert derive_buckets(str(f), floor=4, target_bytes=8) == 128
-    assert derive_buckets(str(f), floor=4, cap=64, target_bytes=8) == 64
+    monkeypatch.setattr(util, "BUCKET_TARGET_BYTES", 8)
+    assert derive_buckets(str(f), floor=4) == 128
     # directory form sums member files
     d = tmp_path / "dir.parquet"
     d.mkdir()
     (d / "a").write_bytes(b"x" * 512)
     (d / "b").write_bytes(b"x" * 512)
-    assert derive_buckets(str(d), floor=4, target_bytes=8) == 128
+    assert derive_buckets(str(d), floor=4) == 128
     # the shared size scan: non-local or missing paths size as 0, so
     # derivation takes the floor (and util.layout its unsized layout)
     assert input_bytes(str(d)) == 1024
     assert input_bytes("s3://bucket/webpages.parquet") == 0
     assert input_bytes(str(tmp_path / "missing")) == 0
     assert derive_buckets("s3://bucket/webpages.parquet", floor=7) == 7
-    # resolve: explicit beats derivation
-    assert resolve_buckets(17, str(f), 256) == 17
-    assert resolve_buckets(None, str(f), 256) == 256
-    # env hook (the layout-invariance gate run)
-    os.environ["RAYTILES_FORCE_BUCKETS"] = "33"
-    try:
-        assert derive_buckets(str(f), floor=256) == 33
-    finally:
-        del os.environ["RAYTILES_FORCE_BUCKETS"]
+    monkeypatch.setattr(util, "MAX_BUCKETS", 64)  # the cap
+    assert derive_buckets(str(f), floor=4) == 64
+    # env hook (tests/test_bucket_invariance.py runs every family under it)
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "33")
+    assert derive_buckets(str(f), floor=256) == 33
 
 
 def test_env_knobs_pinned():

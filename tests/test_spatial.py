@@ -426,6 +426,38 @@ def test_tile_moran_clustered_positive():
     assert abs(row["expected_i"] - (-1.0 / (row["n_tiles"] - 1))) < 1e-6
 
 
+@pytest.mark.parametrize("texts", [
+    ["no coordinates in this page"],                        # empty
+    ["located at 37.7749, -122.4194"],                      # N = 1
+    ["located at 37.7749, -122.4194",
+     "located at -33.8688, 151.2093"],                      # no edges
+    ["located at 0.0100, 0.0100",
+     "located at 0.0100, 0.1000"],                          # den = 0
+], ids=["empty", "one_tile", "no_edges", "equal_counts"])
+def test_tile_moran_degenerate_matches_twin(tmp_path, texts):
+    """Degenerate inputs give the DuckDB twin's row (x / 0 is NULL
+    there) instead of raising."""
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from raytiles.oracles import tile_moran_sql
+    from raytiles.ops.spatial import tile_moran
+
+    wp = tmp_path / "webpages.parquet"
+    wp.mkdir()
+    pq.write_table(pa.table({
+        "url": [f"https://h{i}.example/p" for i in range(len(texts))],
+        "text": texts}), wp / "part-0.parquet")
+    got = tile_moran(str(wp), 12).to_pandas()
+    want = duckdb.sql(tile_moran_sql(str(wp), 12)).df()
+    assert len(got) == len(want) == 1
+    for c in ("n_tiles", "w_sum", "moran_i", "expected_i"):
+        g, w = got[c].iloc[0], want[c].iloc[0]
+        assert (pd.isna(g) and pd.isna(w)) or g == w, (c, g, w)
+
+
 def test_tile_components_match_union_find():
     import numpy as np
 
