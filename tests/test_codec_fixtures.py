@@ -16,7 +16,7 @@ from raytiles.codec.encode import encode_tile
 from raytiles.codec.model import (
     BV, DO, FL, I64V, S64V, ST, W64V, Feature, Layer, VectorTile, tiles_equal,
 )
-from tests.conftest import fixture_bytes
+from tests.conftest import fixture_bytes, fixture_path
 
 FIXTURES = ["onepoint.mvt", "linestring.mvt", "polygon.mvt", "roads.mvt", "clearlake.mvt"]
 
@@ -198,6 +198,8 @@ def test_arrow_feature_table_roundtrip():
     import pyarrow as pa
     from raytiles.codec.arrowio import feature_table_to_tiles, tiles_to_feature_table
     from raytiles.pipeline.roundtrip import tiles_in_table
+    for name in FIXTURES:  # tiles_in_table reads the reference corpus
+        fixture_path(name)
     src = tiles_in_table()
     batch = pa.table({
         "z": pa.array([0] * src.num_rows, pa.int32()),

@@ -19,6 +19,7 @@ from raytiles.codec.geometry import (
 from raytiles.codec.model import (
     BV, DO, FL, I64V, S64V, ST, W64V, Feature, Layer, VectorTile, tiles_equal,
 )
+from tests.conftest import fixture_bytes
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -152,7 +153,7 @@ def test_mutated_fixture_path_parity_and_fixpoint():
     from raytiles.codec.encode import encode_tile
     from raytiles.codec.model import tiles_equal
 
-    fixtures = [open(f"/root/reference/test/{f}.mvt", "rb").read()
+    fixtures = [fixture_bytes(f"{f}.mvt")
                 for f in ("onepoint", "linestring", "polygon",
                           "roads", "clearlake")]
     rng = random.Random(20260819)
@@ -193,7 +194,7 @@ def test_small_tile_fast_path_parity():
     from raytiles.codec.encode import encode_tile
     from raytiles.codec.model import tiles_equal
 
-    base = open("/root/reference/test/onepoint.mvt", "rb").read()
+    base = fixture_bytes("onepoint.mvt")
     rng = random.Random(4042026)
     cases = []
     for _ in range(800):

@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from tests.conftest import SF_SMOKE
+from tests.conftest import SF_SMOKE, fixture_bytes
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -173,7 +173,7 @@ def test_events_sessions_coverage():
 
 def test_lazy_layer_access():
     from raytiles.codec.decode import decode_layer_by_name, decode_tile, layer_names
-    raw = open("/root/reference/test/roads.mvt", "rb").read()
+    raw = fixture_bytes("roads.mvt")
     names = layer_names(raw)
     assert len(names) == 15 and b"water" in names
     water = decode_layer_by_name(raw, b"water")

@@ -13,6 +13,7 @@ from raytiles.geo.parse import GeoParser
 from raytiles.pipeline.encode_stage import FastPointEncoder
 from raytiles.pipeline.stages import merge_tile_partials, pack_tile_partials
 from raytiles.pipeline.synth import generate_webpages, webpages_path
+from tests.conftest import fixture_bytes, fixture_path
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +296,7 @@ def test_read_mvt_dir_roundtrips_sink(tmp_path):
     for i, name in enumerate(fixtures):
         d = tmp_path / str(12) / str(100 + i)
         d.mkdir(parents=True)
-        shutil.copyfile(f"/root/reference/test/{name}.mvt",
+        shutil.copyfile(fixture_path(f"{name}.mvt"),
                         d / f"{200 + i}.mvt")
     df = read_mvt_dir(str(tmp_path)).to_pandas() \
         .sort_values("x").reset_index(drop=True)
@@ -869,7 +870,7 @@ def test_mvt_rescale_doubles_every_coordinate():
     import ray.data as rd
     from raytiles.codec.decode import decode_tile
     from raytiles.pipeline.overlay import mvt_rescale
-    raw = open("/root/reference/test/roads.mvt", "rb").read()
+    raw = fixture_bytes("roads.mvt")
     src = rd.from_arrow(pa.table({
         "z": pa.array([0], pa.int64()), "x": pa.array([0], pa.int64()),
         "y": pa.array([0], pa.int64()),

@@ -30,7 +30,7 @@ elif kind == 'parse':
     out = fn(pd.DataFrame({'url': ['u'], 'text': ['located at 1.0000, 2.0000']}))
     assert len(out) == 1
 elif kind == 'decode':
-    raw = open('/root/reference/test/onepoint.mvt', 'rb').read()
+    raw = open(sys.argv[3], 'rb').read()
     tile, err = fn(raw)
     assert err is None and len(tile.layers) == 1
 elif kind == 'pack':
@@ -54,13 +54,14 @@ print('OK')
 """
 
 
-def _roundtrip_in_clean_process(obj, kind: str) -> None:
+def _roundtrip_in_clean_process(obj, kind: str, *args: str) -> None:
     from ray import cloudpickle
     with tempfile.NamedTemporaryFile(suffix=".bin") as fh:
         fh.write(cloudpickle.dumps(obj))
         fh.flush()
-        res = subprocess.run([sys.executable, "-c", LOADER, fh.name, kind],
-                             capture_output=True, text=True, cwd="/tmp")
+        res = subprocess.run(
+            [sys.executable, "-c", LOADER, fh.name, kind, *args],
+            capture_output=True, text=True, cwd="/tmp")
         assert res.returncode == 0 and "OK" in res.stdout, \
             f"{kind}: {res.stderr[-800:]}"
 
@@ -132,7 +133,10 @@ def test_decode_ships_by_value():
     struct.Struct (unpicklable) once broke every decode-using stage
     while the library itself imported fine locally."""
     from raytiles.codec.decode import decode_tile_safe
-    _roundtrip_in_clean_process(decode_tile_safe, "decode")
+    from tests.conftest import fixture_path
+    # the child runs from /tmp: hand it the resolved absolute path
+    _roundtrip_in_clean_process(decode_tile_safe, "decode",
+                                fixture_path("onepoint.mvt"))
 
 
 def test_no_uint64_output_columns_in_stages():
