@@ -37,9 +37,9 @@ def _cast_int64(df: pd.DataFrame, cols) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 def _q_geoparse(sf_dir: str):
-    from raytiles.pipeline.flagship import geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
-    df = geoparse(read_webpages(webpages_path(sf_dir))).to_pandas()
+    df = mentions(webpages_path(sf_dir))[0].to_pandas()
     return _cast_int64(df, ["mention_idx"])[["url", "mention_idx", "lon", "lat"]]
 
 
@@ -190,7 +190,7 @@ def _q_trajectories(sf_dir: str):
 def _q_geohashes(sf_dir: str):
     """Geohash base-32 spatial index per mention (prefix = cell)."""
     from raytiles.geo.tilemath import geohash
-    from raytiles.pipeline.flagship import geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
 
     def add_geohash(b: pd.DataFrame) -> pd.DataFrame:
@@ -200,13 +200,13 @@ def _q_geohashes(sf_dir: str):
             "geohash": geohash(b["lon"].to_numpy(), b["lat"].to_numpy(), 6),
         })
 
-    ds = geoparse(read_webpages(webpages_path(sf_dir)))
+    ds = mentions(webpages_path(sf_dir))[0]
     return ds.map_batches(add_geohash, batch_format="pandas")
 
 
 def _q_morton_cells(sf_dir: str):
     from raytiles.geo.tilemath import morton_cell
-    from raytiles.pipeline.flagship import geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
 
     def add_morton(b: pd.DataFrame) -> pd.DataFrame:
@@ -216,7 +216,7 @@ def _q_morton_cells(sf_dir: str):
             "morton": morton_cell(b["lon"].to_numpy(), b["lat"].to_numpy(), 12),
         })
 
-    ds = geoparse(read_webpages(webpages_path(sf_dir)))
+    ds = mentions(webpages_path(sf_dir))[0]
     return ds.map_batches(add_morton, batch_format="pandas")
 
 
@@ -233,7 +233,7 @@ def _q_trajectories_simplified(sf_dir: str):
 
 def _q_quadkeys(sf_dir: str):
     from raytiles.geo.tilemath import quadkey
-    from raytiles.pipeline.flagship import geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
 
     def add_qk(b: pd.DataFrame) -> pd.DataFrame:
@@ -243,23 +243,23 @@ def _q_quadkeys(sf_dir: str):
             "quadkey": quadkey(b["lon"].to_numpy(), b["lat"].to_numpy(), 12),
         })
 
-    ds = geoparse(read_webpages(webpages_path(sf_dir)))
+    ds = mentions(webpages_path(sf_dir))[0]
     return ds.map_batches(add_qk, batch_format="pandas")
 
 
 def _q_tile_pyramid(sf_dir: str):
     from raytiles.ops.raster import tile_pyramid
-    from raytiles.pipeline.flagship import assign, geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
-    ds = assign(geoparse(read_webpages(webpages_path(sf_dir))), 12, with_cells=False)
+    ds = mentions(webpages_path(sf_dir), 12)[0]
     return tile_pyramid(ds)
 
 
 def _q_raster_cells(sf_dir: str):
     from raytiles.ops.raster import raster_cells
-    from raytiles.pipeline.flagship import assign, geoparse, read_webpages
+    from raytiles.pipeline.flagship import mentions
     from raytiles.pipeline.synth import webpages_path
-    ds = assign(geoparse(read_webpages(webpages_path(sf_dir))), 8, with_cells=False)
+    ds = mentions(webpages_path(sf_dir), 8)[0]
     return raster_cells(ds)
 
 

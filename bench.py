@@ -268,9 +268,9 @@ def run_benchmarks() -> dict:
         return best
 
     if not headline_only:
-        fixdir = "/root/reference/test"
-        roads = open(os.path.join(fixdir, "roads.mvt"), "rb").read()
-        onepoint = open(os.path.join(fixdir, "onepoint.mvt"), "rb").read()
+        from raytiles.pipeline.roundtrip import fixture_path
+        roads = open(fixture_path("roads.mvt"), "rb").read()
+        onepoint = open(fixture_path("onepoint.mvt"), "rb").read()
         roads_tile = decode_tile(roads)
         from raytiles.codec.decode import first_feature
         extras["codec_us"] = {

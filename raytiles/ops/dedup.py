@@ -41,7 +41,6 @@ import hashlib
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data

@@ -17,7 +17,6 @@ a real decoder on a cluster with the libs installed.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data

@@ -16,7 +16,6 @@ grids and the MVT output are rows-only with pytest roundtrip oracles.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -25,6 +24,7 @@ import ray.data
 from ..codec.encode import encode_tile
 from ..codec.fastshape import encode_heat_tiles
 from ..codec.model import DO, I64V, Feature, Layer, VectorTile
+from ..pipeline.flagship import mentions
 from ..util import bucket_of, derive_buckets
 
 GRID = 256  # raster resolution per tile (4096 extent / 256 = 16px cells)
@@ -240,8 +240,7 @@ def heatmap_pipeline(webpages_path: str, zoom: int = 8) -> ray.data.Dataset:
     """webpages -> mentions -> raster grids -> vectorized heat MVTs.
     Lower default zoom than the flagship: heat tiles aggregate wider
     areas (z=8 tile ~ 150 km)."""
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom, with_cells=False)
+    ds = mentions(webpages_path, zoom)[0]
     return vectorize_raster(rasterize_tiles(ds))
 
 
@@ -259,8 +258,6 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     — no join, no second pass.  At the edges neighbors clip (no
     wraparound), matching the oracle's BETWEEN self-join."""
     n_buckets = derive_buckets(webpages_path, 1024)
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     n = 1 << zoom
 
     def partial(b: pa.Table) -> pa.Table:
@@ -297,9 +294,8 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
             "n_features": pc.cast(t["n_features"], pa.int64()),
             "n_hood": pc.cast(t["n_hood"], pa.int64())})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom, with_cells=False)
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, zoom, then=partial)
+    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
 def _cluster_partials(webpages_path: str, zoom: int, radius: int):
@@ -341,8 +337,6 @@ def point_clusters(webpages_path: str, zoom: int = 12,
     rows before the ONE bounded splitmix(tile) bucket shuffle; a tile
     contributes at most (4096/radius)^2 rows per batch, so reducer
     state is bounded at any corpus size."""
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
 
     def merge(g: pa.Table) -> pa.Table:
@@ -362,10 +356,8 @@ def point_clusters(webpages_path: str, zoom: int = 12,
             "cx": pa.array(m["sx_sum"].to_numpy().astype(np.int64) // npts),
             "cy": pa.array(m["sy_sum"].to_numpy().astype(np.int64) // npts)})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom,
-                with_cells=False)
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, zoom, then=partial)
+    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
 def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
@@ -375,8 +367,6 @@ def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
     metadata — fid = gx * cells + gy so the feature set is
     deterministic. Same single bounded shuffle; the reducer both
     merges cell partials and encodes its tiles."""
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
 
     def encode_group(g: pa.Table) -> pa.Table:
@@ -413,10 +403,8 @@ def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
                          "mvt": pa.array(om, pa.binary()),
                          "n_clusters": pa.array(on, pa.int64())})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom,
-                with_cells=False)
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(encode_group, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, zoom, then=partial)
+    return partials.groupby("bucket").map_groups(encode_group, batch_format="pyarrow")
 
 
 def raster_blur(webpages_path: str, zoom: int = 8,
@@ -435,8 +423,6 @@ def raster_blur(webpages_path: str, zoom: int = 8,
     OCCUPIED cells (9x), never to grid area. All-integer weights keep
     the result exact at any merge order."""
     n_buckets = derive_buckets(webpages_path, 1024)
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     cells = 4096 // grid_cell
     span = (1 << zoom) * cells  # global cells per axis
     kernel = [(-1, -1, 1), (-1, 0, 2), (-1, 1, 1),
@@ -474,10 +460,8 @@ def raster_blur(webpages_path: str, zoom: int = 8,
                          "blurred": pa.array(
                              m["v_sum"].to_numpy().astype(np.int64))})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom,
-                with_cells=False)
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, zoom, then=partial)
+    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
 # marching squares: case index = 8*TL + 4*TR + 2*BR + 1*BL (inside
@@ -662,8 +646,6 @@ def iso_segments(webpages_path: str, zoom: int = 8,
     marching squares (_ms_segments_sparse). The dense raster (256KB
     per tile, ~11GB at sf0.1) never materializes for this query; work
     and memory track occupied cells only."""
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     s = 4096 // GRID
 
     def fn(g: pa.Table) -> pa.Table:
@@ -682,8 +664,7 @@ def iso_segments(webpages_path: str, zoom: int = 8,
             "x0": pa.array(x0, pa.int64()), "y0": pa.array(y0, pa.int64()),
             "x1": pa.array(x1, pa.int64()), "y1": pa.array(y1, pa.int64())})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom,
-                with_cells=False)
+    ds = mentions(webpages_path, zoom)[0]
     return _partial_cells(ds).groupby("bucket").map_groups(
         fn, batch_format="pyarrow")
 
@@ -698,8 +679,6 @@ def isolines_pipeline(webpages_path: str, zoom: int = 8,
     vertex has degree <= 2 by construction of the saddle-splitting
     case table, so contours are simple paths/cycles; open paths chain
     first (from degree-1 vertices in scan order), then cycles."""
-    from ..pipeline.flagship import assign, geoparse, read_webpages
-
     s = 4096 // GRID
 
     def chain(x0, y0, x1, y1):
@@ -776,7 +755,6 @@ def isolines_pipeline(webpages_path: str, zoom: int = 8,
             "mvt": pa.array(rows["mvt"], pa.binary()),
             "n_lines": pa.array(rows["n_lines"], pa.int64())})
 
-    ds = assign(geoparse(read_webpages(webpages_path)), zoom,
-                with_cells=False)
+    ds = mentions(webpages_path, zoom)[0]
     return _partial_cells(ds).groupby("bucket").map_groups(
         fn, batch_format="pyarrow")

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from ..util import bucket_of, derive_buckets, splitmix64, sum_by_key
 

@@ -29,7 +29,7 @@ import ray
 import ray.data
 
 from ..geo.tilemath import lonlat_to_tile
-from ..pipeline.flagship import geoparse, read_webpages
+from ..pipeline.flagship import mentions
 from ..pipeline.synth import CITIES
 from ..util import bucket_of, derive_buckets, pair_key
 from .relational import _fq
@@ -39,8 +39,8 @@ from .webcorpus import HOST_RE, _md5_u64
 FENCE_RADIUS_DEG = 2.0  # squared-degree geofence radius
 
 
-def _mentions(webpages_path: str) -> ray.data.Dataset:
-    return geoparse(read_webpages(webpages_path))
+def _mentions(webpages_path: str, zoom: int | None = None) -> ray.data.Dataset:
+    return mentions(webpages_path, zoom)[0]
 
 
 def _d2_matrix(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
@@ -269,8 +269,7 @@ def zonal_stats(webpages_path: str, zoom: int = 3,
                 "n_inside": pa.array(n[live])})
         return fn
 
-    mentions = geoparse(read_webpages(webpages_path))
-    partials = mentions.map_batches(
+    partials = _mentions(webpages_path).map_batches(
         _cached_stage(("zonal_partial", state_ref.hex(), zoom),
                       partial_factory),
         batch_format="pyarrow")
@@ -657,8 +656,6 @@ def cell_compact(webpages_path: str, zoom: int = 12,
     n_buckets = derive_buckets(webpages_path, 256)
     import pandas as pd
 
-    from ..pipeline.flagship import assign  # driver-side only
-
     n = 1 << zoom
 
     def partial(b: pa.Table) -> pa.Table:
@@ -670,8 +667,7 @@ def cell_compact(webpages_path: str, zoom: int = 12,
     def dedup(g: pa.Table) -> pa.Table:
         return pa.table({"key": np.unique(g["key"].to_numpy())})
 
-    occ = assign(geoparse(read_webpages(webpages_path)), zoom,
-                 with_cells=False) \
+    occ = _mentions(webpages_path, zoom) \
         .map_batches(partial, batch_format="pyarrow") \
         .groupby("bucket").map_groups(dedup, batch_format="pyarrow") \
         .to_pandas()["key"].to_numpy()
@@ -779,9 +775,8 @@ def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     per-tile counts on |dx| <= 1 AND |dy| <= 1 with the same
     lexicographic order)."""
     n_buckets = derive_buckets(webpages_path, 256)
-    from ..pipeline.flagship import assign
 
-    ds = assign(_mentions(webpages_path), zoom, with_cells=False)
+    ds = _mentions(webpages_path, zoom)
     KX = np.int64(1) << np.int64(26)  # zoom <= 25: disjoint fields
 
     def partial(b: pa.Table) -> pa.Table:
@@ -901,8 +896,6 @@ def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     table (pipeline/job.stage_a) and feed both from it."""
     from ray.data.aggregate import Sum
 
-    from ..pipeline.flagship import assign
-
     nb = derive_buckets(webpages_path, 256)
     edges = tile_adjacency(webpages_path, zoom)
 
@@ -918,7 +911,7 @@ def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
         .aggregate(Sum("e", alias_name="e"), Sum("sc", alias_name="sc"),
                    Sum("sa", alias_name="sa"))
 
-    ds = assign(_mentions(webpages_path), zoom, with_cells=False)
+    ds = _mentions(webpages_path, zoom)
 
     def count_partial(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy().astype(np.int64)
@@ -1119,12 +1112,11 @@ def tile_hotspots(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     assignment table instead)."""
     from ray.data.aggregate import Sum
 
-    from ..pipeline.flagship import assign
     nb = derive_buckets(webpages_path, 256)
 
     KX = np.int64(1) << np.int64(26)
     edges = tile_adjacency(webpages_path, zoom)
-    ds = assign(_mentions(webpages_path), zoom, with_cells=False)
+    ds = _mentions(webpages_path, zoom)
 
     def count_partial(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy().astype(np.int64)
@@ -1195,7 +1187,7 @@ def tile_hotspots(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
         return pa.table({"nt": pa.array([len(starts)], pa.int64()),
                          "s1": pa.array([int(tot.sum())], pa.int64())})
 
-    gagg = assign(_mentions(webpages_path), zoom, with_cells=False) \
+    gagg = _mentions(webpages_path, zoom) \
         .map_batches(g_partial, batch_format="pyarrow") \
         .groupby("bucket").map_groups(g_merge, batch_format="pyarrow") \
         .aggregate(Sum("nt", alias_name="nt"), Sum("s1", alias_name="s1"))

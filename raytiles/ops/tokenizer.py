@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 

@@ -9,7 +9,7 @@ md5-derived hashing reproduced via ('0x' || substr(md5(s),1,16))::UBIGINT.
 
 from __future__ import annotations
 
-from .geo.parse import FMT1, FMT2, FMT3, MASTER_RE
+from .geo.parse import FMT1, FMT2, MASTER_RE
 from .ops.dedup import MAX_BAND_GROUP, SEED_CONSTS
 from .ops.text import STOP_RE, TOKEN_RE
 

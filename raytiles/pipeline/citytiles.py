@@ -40,7 +40,7 @@ import ray
 import ray.data
 
 from .encode_stage import FastPointEncoder
-from .flagship import aggregate_tiles, assign, geoparse, read_sized
+from .flagship import merged_tiles
 from .overlay import mvt_concat_merge
 from .polytiles import polygon_tiles_pipeline
 from .trajectories import encode_trajectories
@@ -102,10 +102,7 @@ def city_tiles_pipeline(webpages_path: str, zoom: int = 6,
     merge is meaningful. zoom defaults to the trajectory face's 6
     (multi-mention docs usually land in one ~600 km tile; the hull
     cover fan-out stays <= 4^6)."""
-    ds, reducers = read_sized(webpages_path)
-    ds = geoparse(ds)
-    ds = assign(ds, zoom, with_cells=False)
-    merged = aggregate_tiles(ds, reducers)
+    merged = merged_tiles(webpages_path, zoom)
     encoder = FastPointEncoder()
 
     def enc(b: pa.Table) -> pa.Table:

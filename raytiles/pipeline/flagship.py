@@ -2,14 +2,26 @@
 
 Ray-Data-native composition (see stages.py for the stage graph). The
 caller owns the Ray session (never ray.init here — driver contract).
+
+``mentions`` is the map side of every pipeline over a parquet webpages
+table (the flagship, the job's stage A, the tile families and the
+spatial/raster ops): one Ray operator whose tasks read their own row
+groups and run prefilter -> parse -> assign -> the caller's per-block
+step. ``geoparse`` runs the same parse kernel over Datasets that other
+sources read (jsonl, csv, warc, ...).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -22,81 +34,180 @@ from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
 
 DEFAULT_ZOOM = 12
 _CELL_BUCKETS = 1024  # cell_counts_pipeline's exchange buckets
+MENTION_SCHEMA = pa.schema([("url", pa.string()), ("mention_idx", pa.int32()),
+                            ("lon", pa.float64()), ("lat", pa.float64())])
+_DOC_SCHEMA = pa.schema([("url", pa.string()), ("text", pa.string())])
 
 
-def read_webpages(path: str, columns=("url", "text")) -> ray.data.Dataset:
-    """Prune at the read: the flagship needs only url + text (html and
-    lang stay in storage).
-
-    The read task count is ``util.layout``'s read-block count for the
-    input's on-disk size, and with it the output block count of the
-    fused read->parse->assign->pack chain, which is the map width of
-    the downstream sort exchange: the same input gets the same layout
-    at every cluster size."""
-    return read_sized(path, columns)[0]
+def read_webpages(path: str) -> ray.data.Dataset:
+    """Ray's own parquet read of a webpages table, pruned to url + text
+    (html and lang stay in storage), in ``util.layout``'s read-block
+    count. The parquet pipelines read through ``mentions`` instead;
+    this read, then ``geoparse`` and ``assign``, is the plain Ray chain
+    that ``mentions`` is tested against."""
+    return ray.data.read_parquet(path, columns=_DOC_SCHEMA.names,
+                                 override_num_blocks=layout(input_bytes(path))[0])
 
 
-def read_sized(path: str, columns=("url", "text")
-               ) -> tuple[ray.data.Dataset, int]:
-    """``read_webpages`` plus ``util.layout``'s reducer count for the
-    same input, from one size scan: every pipeline that runs
-    ``aggregate_tiles`` reads through this, so its exchange width
-    always belongs to the input it read."""
-    read_blocks, reducers = layout(input_bytes(path))
-    ds = ray.data.read_parquet(path, columns=list(columns),
-                               override_num_blocks=read_blocks)
-    return ds, reducers
+def _parse_docs(parser: GeoParser, docs: pa.Table) -> pa.Table:
+    """The parse kernel: documents (url, text) -> exploded mention rows
+    (url, mention_idx, lon, lat). The candidate prefilter runs
+    pc.match_substring_regex on the zero-copy column, and the master
+    regex runs over the filtered column's raw UTF-8 buffer
+    (GeoParser.parse_arrow): no Python string ever materializes for
+    text, cutting allocator and cache pressure that compounds at high
+    worker counts."""
+    sub = docs.filter(pc.match_substring_regex(docs["text"], parser.prefilter))
+    if sub.num_rows == 0:
+        return MENTION_SCHEMA.empty_table()
+    row_pos, mention_idx, lat, lon = parser.parse_arrow(sub["text"])
+    return pa.table({
+        "url": sub["url"].take(pa.array(row_pos)),
+        "mention_idx": pa.array(mention_idx, pa.int32()),
+        "lon": pa.array(lon, pa.float64()),
+        "lat": pa.array(lat, pa.float64()),
+    })
 
 
-def geoparse(ds: ray.data.Dataset, *, batch_size: int = 4096) -> ray.data.Dataset:
-    """documents -> exploded mention rows (url, mention_idx, lon, lat).
-    Task-based (regex compiled once per worker process), Arrow
-    end-to-end: the candidate prefilter runs pc.match_substring_regex
-    on the zero-copy batch, and the master regex runs over the
-    filtered column's raw UTF-8 buffer (GeoParser.parse_arrow) — no
-    Python string ever materializes for text, cutting allocator and
-    cache pressure that compounds at high worker counts."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
+def geoparse(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """documents -> exploded mention rows, for a Dataset that some other
+    source already read (jsonl, csv, warc, ...). Parquet webpages go
+    through ``mentions``, which runs the same kernel in the reading
+    task."""
     parser = GeoParser()
-    EMPTY = pa.schema([("url", pa.string()), ("mention_idx", pa.int32()),
-                       ("lon", pa.float64()), ("lat", pa.float64())])
 
     def parse_batch(batch: pa.Table) -> pa.Table:
-        mask = pc.match_substring_regex(batch["text"], parser.prefilter)
-        sub = batch.filter(mask)
-        if sub.num_rows == 0:
-            return EMPTY.empty_table()
-        row_pos, mention_idx, lat, lon = parser.parse_arrow(sub["text"])
-        return pa.table({
-            "url": sub["url"].take(pa.array(row_pos)),
-            "mention_idx": pa.array(mention_idx, pa.int32()),
-            "lon": pa.array(lon, pa.float64()),
-            "lat": pa.array(lat, pa.float64()),
-        })
+        return _parse_docs(parser, batch)
 
-    return ds.map_batches(parse_batch, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(parse_batch, batch_format="pyarrow", batch_size=4096)
 
 
 def assign(ds: ray.data.Dataset, zoom: int = DEFAULT_ZOOM, *,
-           batch_size: int = 8192, with_cells: bool = True) -> ray.data.Dataset:
+           with_cells: bool = True) -> ray.data.Dataset:
     """mention rows -> tile/cell assignments by exact floor math
     (stages.TileAssigner). Task-based: the assigner carries only its
     zoom, extent and cell flag, so it ships by value with each task."""
     return ds.map_batches(TileAssigner(zoom, with_cells=with_cells),
-                          batch_format="pyarrow", batch_size=batch_size)
+                          batch_format="pyarrow")
 
 
-def aggregate_tiles(ds: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
-    """Two-phase tile aggregation: per-batch partial pack into per-tile
-    rows capped at 512 features (no shuffle), then ONE shuffle keyed by
-    bucket = splitmix(z,x,y) % 1024 (bounded key domain; city skew
-    spreads across buckets tile-by-tile), then a whole-block merge that
-    re-splits into per-tile packed rows with pure offset arithmetic.
+def input_files(path: str) -> tuple[pafs.FileSystem, list[pafs.FileInfo]]:
+    """The parquet files of a table (a file, a directory or any URI
+    pyarrow resolves) in path order, with their size and mtime, and
+    the filesystem that opens them."""
+    dataset = pads.dataset(path, format="parquet")
+    fs = dataset.filesystem
+    return fs, fs.get_file_info(dataset.files)
+
+
+def _balanced(sizes: list[int], n: int) -> list[np.ndarray]:
+    """Split item indices into at most ``n`` contiguous, non-empty runs
+    of about equal total size: an item joins the run its byte midpoint
+    falls in."""
+    sizes = np.asarray(sizes, np.float64)
+    total = sizes.sum()
+    if total <= 0:
+        sizes, total = np.ones(len(sizes)), float(len(sizes))
+    mid = np.cumsum(sizes) - sizes / 2
+    run = np.minimum((mid * n / total).astype(np.int64), n - 1)
+    starts = np.flatnonzero(np.diff(run)) + 1
+    return np.split(np.arange(len(sizes)), starts)
+
+
+def read_groups(fs: pafs.FileSystem, files: list[pafs.FileInfo],
+                n_blocks: int) -> list[dict[str, list[int] | None]]:
+    """Contiguous read groups of about equal bytes, at most
+    ``n_blocks``: each maps a file to the row groups to read from it,
+    or to None for all of it. Whole files are the unit unless there
+    are fewer files than blocks; then row groups are, sized from each
+    file's footer. An input without files is one empty group, so it
+    still yields a typed empty block."""
+    units = [(f.path, None) for f in files]
+    sizes = [f.size for f in files]
+    if 0 < len(files) < n_blocks:
+        units, sizes = [], []
+        for f in files:
+            with fs.open_input_file(f.path) as fh:
+                meta = pq.ParquetFile(fh).metadata
+            for rg in range(meta.num_row_groups):
+                units.append((f.path, rg))
+                sizes.append(meta.row_group(rg).total_byte_size)
+    if not units:
+        return [{}]
+    groups = []
+    for idx in _balanced(sizes, n_blocks):
+        group = {}
+        for path, rg in (units[i] for i in idx):
+            if rg is None:
+                group[path] = None
+            else:
+                group.setdefault(path, []).append(rg)
+        groups.append(group)
+    return groups
+
+
+def _read_docs(fs: pafs.FileSystem, group: dict[str, list[int] | None]) -> pa.Table:
+    parts = []
+    for path, rgs in group.items():
+        with fs.open_input_file(path) as fh:
+            pf = pq.ParquetFile(fh)
+            parts.append(pf.read(columns=_DOC_SCHEMA.names) if rgs is None
+                         else pf.read_row_groups(rgs, columns=_DOC_SCHEMA.names))
+    return pa.concat_tables(parts) if parts else _DOC_SCHEMA.empty_table()
+
+
+def mentions(path: str, zoom: int | None = None, *, with_cells: bool = False,
+             then: Callable[[pa.Table], pa.Table] | None = None
+             ) -> tuple[ray.data.Dataset, int]:
+    """The map side of every parquet-webpages pipeline as ONE Ray
+    operator: each task reads its own group of the input's row groups,
+    then runs prefilter -> parse -> ``TileAssigner(zoom)`` (when
+    ``zoom`` is set) -> ``then`` (when set, e.g. pack_tile_partials)
+    over the whole group at once. Returns the Dataset and
+    ``util.layout``'s reducer count for the same input, so a
+    downstream exchange's width belongs to the input it read.
+
+    The read runs inside the UDF on purpose: behind Ray's ReadParquet
+    operator the read costs ~3x its kernel time in planning and block
+    handling, and fusing only parse -> assign behind that operator did
+    not speed up the job's stage A, while this stage cut it ~3x
+    (ROADMAP item 3). The caller's process lists the input once
+    (``input_files``) and splits it into ``layout(input_bytes(path))``
+    groups balanced by bytes (``read_groups``), so the same input gets
+    the same blocks at every cluster size. ``then`` runs on every
+    block, an empty one included."""
+    read_blocks, reducers = layout(input_bytes(path))
+    fs, files = input_files(path)
+    groups = read_groups(fs, files, read_blocks)
+    parser = GeoParser()
+    assigner = None if zoom is None else TileAssigner(zoom, with_cells=with_cells)
+
+    def read_parse(batch: pa.Table) -> pa.Table:
+        docs = pa.concat_tables([_read_docs(fs, groups[g])
+                                 for g in batch["group"].to_pylist()])
+        out = _parse_docs(parser, docs)
+        if assigner is not None:
+            out = assigner(out)
+        return out if then is None else then(out)
+
+    ds = ray.data.from_items([{"group": g} for g in range(len(groups))],
+                             override_num_blocks=len(groups))
+    return ds.map_batches(read_parse, batch_format="pyarrow",
+                          batch_size=None), reducers
+
+
+def aggregate_tiles(packed: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
+    """Phase 2 of the two-phase tile aggregation. Phase 1 runs in the
+    map stage: ``mentions(..., then=pack_tile_partials)`` packs each
+    block into per-tile rows capped at 512 features. Here ONE shuffle
+    keyed by bucket = splitmix(z,x,y) % 1024 (bounded key domain; city
+    skew spreads across buckets tile-by-tile) is followed by a
+    whole-block merge that re-splits into per-tile packed rows with
+    pure offset arithmetic.
 
     ``reducers`` is the exchange's output block count: callers pass
-    the count ``read_sized`` returned for their input, so it follows
-    the input's size and never the cluster's. The encoded tiles do not
+    the count ``mentions`` returned for their input, so it follows the
+    input's size and never the cluster's. The encoded tiles do not
     depend on it (a tile's partials always meet in one block).
 
     The merge is map_batches(batch_size=None) over the shuffle's output
@@ -110,7 +221,6 @@ def aggregate_tiles(ds: ray.data.Dataset, reducers: int) -> ray.data.Dataset:
     sample stage (a barrier + one extra pass over every block's key
     column), and since bucket ids are already a uniform hash, uniform
     boundaries equal what sampling would estimate."""
-    packed = ds.map_batches(pack_tile_partials, batch_format="pyarrow")
     step = N_MERGE_BUCKETS / reducers
     bounds = [int(step * i) for i in range(1, reducers)]
     shuffled = packed.sort("bucket", boundaries=bounds)
@@ -136,13 +246,15 @@ def encode_tiles(ds: ray.data.Dataset, *, batch_size: int = 4096,
                           batch_format="pyarrow", batch_size=batch_size)
 
 
+def merged_tiles(webpages_path: str, zoom: int) -> ray.data.Dataset:
+    """One merged row per tile of every mention at ``zoom``: the map
+    stage packs each block, then the one exchange and the merge."""
+    return aggregate_tiles(*mentions(webpages_path, zoom, then=pack_tile_partials))
+
+
 def tiles_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:
     """Full pipeline, lazy — consume with write_parquet / iter_batches."""
-    ds, reducers = read_sized(webpages_path)
-    ds = geoparse(ds)
-    ds = assign(ds, zoom, with_cells=False)  # cells unused downstream
-    ds = aggregate_tiles(ds, reducers)
-    return encode_tiles(ds)
+    return encode_tiles(merged_tiles(webpages_path, zoom))
 
 
 def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
@@ -171,17 +283,14 @@ def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
                          "n_mentions": pc.cast(out["n_mentions"], pa.int64()),
                          "n_docs": pc.cast(out["n_docs"], pa.int64())})
 
-    ds = geoparse(read_webpages(webpages_path))
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, then=partial)
+    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
 
 
 def assignments_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:
     """read -> geoparse -> assign (no aggregation): the join-output /
     tile-assignment rows the rule requires matching exactly."""
-    ds = read_webpages(webpages_path)
-    ds = geoparse(ds)
-    return assign(ds, zoom)
+    return mentions(webpages_path, zoom, with_cells=True)[0]
 
 
 def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
@@ -198,10 +307,7 @@ def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
     flagship directly at base_zoom - d — pinned by test. Fan-out is
     the bounded factor ``levels``; everything downstream reuses the
     flagship's shuffle discipline unchanged."""
-    ds, reducers = read_sized(webpages_path)
-    ds = assign(geoparse(ds), base_zoom, with_cells=False)
-
-    def replicate(b: pa.Table) -> pa.Table:
+    def pack_levels(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy().astype(np.int64)
         y = b["y"].to_numpy().astype(np.int64)
         lx = b["local_x"].to_numpy().astype(np.int64)
@@ -219,10 +325,10 @@ def pyramid_mvt_pipeline(webpages_path: str, base_zoom: int = DEFAULT_ZOOM,
                     (((x & m) * 4096 + lx) >> d).astype(np.int32)),
                 "local_y": pa.array(
                     (((y & m) * 4096 + ly) >> d).astype(np.int32))}))
-        return pa.concat_tables(parts)
+        return pack_tile_partials(pa.concat_tables(parts))
 
-    rep = ds.map_batches(replicate, batch_format="pyarrow")
-    return encode_tiles(aggregate_tiles(rep, reducers))
+    packed, reducers = mentions(webpages_path, base_zoom, then=pack_levels)
+    return encode_tiles(aggregate_tiles(packed, reducers))
 
 
 def iceberg_cells_pipeline(webpages_path: str, res: int = 5,

@@ -4,11 +4,14 @@ Two checkpointed stages, so a killed job resumes without recomputing
 completed work:
 
   Stage A  parse+assign: webpages -> mention assignments, written as
-           hash(z, x>>4, y>>4) % B bucket directories. All or nothing:
-           one write, swapped into place, then a marker recording the
-           job's arguments (input path, zoom, bucket count). A rerun
-           with the same arguments skips it; any other marker drops
-           both stages' output and recomputes.
+           hash(z, x>>4, y>>4) % B bucket directories. One Ray map
+           operator (flagship.mentions: each task reads its own input
+           row groups and runs parse -> assign -> bucket), then one
+           write. All or nothing: the write is swapped into place,
+           then a marker records the job's arguments (input path,
+           zoom, bucket count) and each input file's path, size and
+           mtime. A rerun with the same arguments and input skips it;
+           any other marker drops both stages' output and recomputes.
   Stage B  per bucket: the flagship's own kernels, pack -> merge ->
            encode (stages.pack_tile_partials, stages.merge_tile_partials,
            encode_stage.FastPointEncoder) -> tiles parquet. Each bucket
@@ -33,7 +36,7 @@ import ray
 
 from .checkpoint import finished_partitions, write_partition
 from .encode_stage import FastPointEncoder
-from .flagship import assign, geoparse, read_webpages
+from .flagship import input_files, mentions
 from .stages import merge_tile_partials, pack_tile_partials, tile_bucket
 
 # FIXED on purpose (not derive_buckets): the bucket count IS the
@@ -57,10 +60,14 @@ def _read_marker(path: str) -> dict | None:
 def stage_a(webpages_path: str, root: str, zoom: int = 12,
             n_buckets: int = N_BUCKETS) -> str:
     """parse+assign, output bucketed by the coarse tile key. Skipped
-    when its marker records these same arguments."""
+    when its marker records these same arguments and the same input
+    files (path, size and mtime of each), so an input rewritten in
+    place recomputes."""
     out_dir = os.path.join(root, "stage_a")
     marker = os.path.join(root, "stage_a.done")
-    args = {"webpages_path": webpages_path, "zoom": zoom, "n_buckets": n_buckets}
+    args = {"webpages_path": webpages_path, "zoom": zoom, "n_buckets": n_buckets,
+            "input": [[f.path, f.size, f.mtime_ns]
+                      for f in input_files(webpages_path)[1]]}
     if _read_marker(marker) == args:
         return out_dir
     # stage B's partitions were encoded from whatever stage A output
@@ -77,10 +84,7 @@ def stage_a(webpages_path: str, root: str, zoom: int = 12,
                              b["y"].to_numpy() >> COARSE_SHIFT, n_buckets)
         return b.append_column("bucket", pa.array(bucket))
 
-    ds = read_webpages(webpages_path)
-    ds = geoparse(ds)
-    ds = assign(ds, zoom, with_cells=False)
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow")
+    ds, _ = mentions(webpages_path, zoom, then=add_bucket)
     tmp_dir = os.path.join(root, ".stage_a.tmp")
     shutil.rmtree(tmp_dir, ignore_errors=True)
     ds.write_parquet(tmp_dir, partition_cols=["bucket"])

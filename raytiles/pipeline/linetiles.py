@@ -31,7 +31,7 @@ from ..codec.encode import encode_tile
 from ..codec.model import I64V, ST, Feature, Layer, VectorTile
 from ..geo.clip import clip_segments
 from ..util import bucket_of
-from .flagship import geoparse, read_webpages
+from .flagship import mentions
 
 LAYER = b"lines"
 EXTENT = 4096
@@ -188,8 +188,6 @@ def line_tiles_pipeline(webpages_path: str, zoom: int = 5,
                         buffer: int = 128) -> ray.data.Dataset:
     """World-spanning mention polylines -> clipped per-tile MVT line
     layers. See module docstring for the distribution shape."""
-    ds = geoparse(read_webpages(webpages_path))
-    segs = ds.map_batches(segments_stage(zoom, buffer),
-                          batch_format="pyarrow")
+    segs, _ = mentions(webpages_path, then=segments_stage(zoom, buffer))
     return segs.groupby("bucket").map_groups(
         _assemble_bucket, batch_format="pyarrow")

@@ -43,7 +43,7 @@ from ..codec.model import I64V, ST, Feature, Layer, VectorTile
 from ..geo.clip import clip_rings
 from ..ops.webcorpus import HOST_RE, _md5_u64
 from ..util import bucket_of
-from .flagship import geoparse, read_webpages
+from .flagship import mentions
 from .linetiles import _global_px
 
 LAYER = b"hulls"
@@ -233,8 +233,7 @@ def host_hulls(webpages_path: str, zoom: int = 3) -> ray.data.Dataset:
             "pts": _pack_rings(kx, ky, koffs)},
             schema=_HULL_SCHEMA.remove(3))
 
-    ds = geoparse(read_webpages(webpages_path))
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    partials, _ = mentions(webpages_path, then=partial)
     return partials.groupby("bucket").map_groups(
         merge, batch_format="pyarrow")
 

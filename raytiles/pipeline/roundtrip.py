@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
@@ -21,7 +20,24 @@ from ..codec.model import (
 )
 
 FIXTURE_DIR = "/root/reference/test"
+# in-repo copies of reference fixtures (FIXTURES.md A), checked against
+# the reference bytes by tests/test_fixture_provenance.py
+LOCAL_FIXTURE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "tests", "fixtures")
 FIXTURES = ["onepoint.mvt", "linestring.mvt", "polygon.mvt", "roads.mvt", "clearlake.mvt"]
+
+
+def fixture_path(name: str) -> str:
+    """Absolute path of the reference MVT fixture `name`: the in-repo
+    copy when there is one, else the reference corpus. The one fixture
+    locator of the program, the benchmark and the tests."""
+    for d in (LOCAL_FIXTURE_DIR, FIXTURE_DIR):
+        path = os.path.join(d, name)
+        if os.path.isfile(path):
+            return path
+    raise FileNotFoundError(
+        f"reference MVT corpus not mounted at {FIXTURE_DIR}: {name}")
 
 
 def _synthetic_tiles(n: int = 40, seed: int = 7) -> list[tuple[str, bytes]]:
@@ -66,7 +82,7 @@ def _synthetic_tiles(n: int = 40, seed: int = 7) -> list[tuple[str, bytes]]:
 def tiles_in_table() -> pa.Table:
     rows_name, rows_mvt = [], []
     for f in FIXTURES:
-        with open(os.path.join(FIXTURE_DIR, f), "rb") as fh:
+        with open(fixture_path(f), "rb") as fh:
             rows_name.append(f)
             rows_mvt.append(fh.read())
     for name, mvt in _synthetic_tiles():

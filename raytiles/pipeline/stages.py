@@ -2,13 +2,17 @@
 
 Stage graph (flagship, see pipeline.flagship):
 
-  read_parquet(webpages, util.layout blocks)   [columns pruned; 1..512
-                                                blocks from input size]
-    -> map_batches(parse, arrow)               [tasks; regex over the raw
-                                                UTF-8 buffer]
-    -> map_batches(TileAssigner, arrow)        [tasks; floor math, no index]
-    -> map_batches(pack_tile_partials, arrow)  [per-batch partial aggregate,
-                                                fat rows chunked at 512]
+  from_items(read groups)                      [planned once: the input's files
+                                                or row groups in
+                                                util.layout groups,
+                                                balanced by bytes]
+    -> map_batches(read_parse,                 [flagship.mentions: ONE
+                   batch_size=None)             task per group reads url +
+                                                text with pyarrow, then
+                                                prefilter -> parse ->
+                                                TileAssigner -> pack over
+                                                the whole group; fat rows
+                                                chunked at 512]
     -> sort(bucket, known boundaries)          [the ONE exchange, bounded
                                                 1024-key domain, 1..64
                                                 reducers from input size]
@@ -19,8 +23,8 @@ Stage graph (flagship, see pipeline.flagship):
     -> write_parquet / collect
 
 The pack->sort->merge split is the salted-two-phase aggregate of
-SURVEY §4.2: per-batch packing collapses mention rows to one compact
-row per (tile, batch) BEFORE the exchange, the tile-hash bucket spreads
+SURVEY §4.2: per-block packing collapses mention rows to one compact
+row per (tile, block) BEFORE the exchange, the tile-hash bucket spreads
 dense cities across reducers tile-by-tile, and the 512-feature row cap
 keeps any single reducer block's payload bounded.
 """

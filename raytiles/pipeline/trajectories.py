@@ -13,7 +13,6 @@ the only new stage is the per-tile feature build + generic encode.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -23,7 +22,7 @@ from ..codec.encode import encode_tile
 from ..codec.fastshape import encode_trajectory_tiles
 from ..codec.model import I64V, ST, Feature, Layer, VectorTile
 from ..geo.simplify import simplify_ragged
-from .flagship import aggregate_tiles, assign, geoparse, read_sized
+from .flagship import merged_tiles
 
 LAYER = b"trajectories"
 
@@ -132,10 +131,7 @@ def trajectories_pipeline(webpages_path: str, zoom: int = 6,
     """Low zoom (z=6 tile ~ 600 km) so multi-mention documents usually
     land their mentions in one tile. ``simplify_tolerance`` > 0 runs
     Douglas-Peucker per linestring before encoding."""
-    ds, reducers = read_sized(webpages_path)
-    ds = geoparse(ds)
-    ds = assign(ds, zoom, with_cells=False)
-    merged = aggregate_tiles(ds, reducers)
+    merged = merged_tiles(webpages_path, zoom)
     if simplify_tolerance > 0:
         def enc(b: pa.Table) -> pa.Table:
             return encode_trajectories(b, simplify_tolerance)

@@ -9,11 +9,10 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-FIXTURE_DIR = "/root/reference/test"
-# in-repo copies of reference fixtures (FIXTURES.md A), checked against
-# the reference bytes by tests/test_fixture_provenance.py
-LOCAL_FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                 "fixtures")
+# the program's one fixture locator, re-exported for the tests
+from raytiles.pipeline.roundtrip import (  # noqa: E402,F401
+    FIXTURE_DIR, LOCAL_FIXTURE_DIR, fixture_path)
+
 SF_SMOKE = "/root/testdata/sf0.001"
 SF_CORRECT = "/root/testdata/sf0.01"
 
@@ -26,17 +25,6 @@ def ray_session():
                  ignore_reinit_error=True, logging_level="ERROR")
     yield ray
     ray.shutdown()
-
-
-def fixture_path(name: str) -> str:
-    """Absolute path of the reference MVT fixture `name`: the in-repo
-    copy when there is one, else the reference corpus."""
-    for d in (LOCAL_FIXTURE_DIR, FIXTURE_DIR):
-        path = os.path.join(d, name)
-        if os.path.isfile(path):
-            return path
-    raise FileNotFoundError(
-        f"reference MVT corpus not mounted at {FIXTURE_DIR}: {name}")
 
 
 def fixture_bytes(name: str) -> bytes:

@@ -144,8 +144,7 @@ def test_concat_merge_equals_decode_merge(tmp_path):
 
     from raytiles.pipeline.citytiles import encode_point_line_batch
     from raytiles.pipeline.encode_stage import FastPointEncoder
-    from raytiles.pipeline.flagship import (aggregate_tiles, assign,
-                                            geoparse, read_sized)
+    from raytiles.pipeline.flagship import merged_tiles
     from raytiles.pipeline.overlay import mvt_concat_merge, mvt_merge_layers
     from raytiles.pipeline.polytiles import polygon_tiles_pipeline
 
@@ -156,10 +155,7 @@ def test_concat_merge_equals_decode_merge(tmp_path):
     enc = FastPointEncoder()
 
     def two_layer():
-        ds, reducers = read_sized(path)
-        ds = aggregate_tiles(assign(geoparse(ds), 6, with_cells=False),
-                             reducers)
-        return ds.map_batches(
+        return merged_tiles(path, 6).map_batches(
             lambda b: encode_point_line_batch(b, 0.0, enc),
             batch_format="pyarrow", batch_size=4096)
 

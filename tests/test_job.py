@@ -90,6 +90,33 @@ def test_stage_a_reruns_on_changed_arguments(ray_session, wp_path, tmp_path):
                .to_pandas()["z"]) == {12}
 
 
+def test_stage_a_reruns_on_rewritten_input(ray_session, tmp_path):
+    """stage A's marker records each input file's size and mtime: a
+    file rewritten in place under the same path recomputes both stages
+    and the tiles follow the new content; the untouched input resumes
+    with nothing recomputed."""
+    from raytiles.pipeline.job import run_job
+    from raytiles.pipeline.synth import generate_webpages
+    src = tmp_path / "webpages"
+    src.mkdir()
+    for i in range(2):
+        pq.write_table(generate_webpages(300, seed=i, idx_offset=300 * i),
+                       str(src / f"part-{i}.parquet"))
+    root = str(tmp_path / "job")
+    first = run_job(str(src), root, 12, n_buckets=8)
+    assert run_job(str(src), root, 12, n_buckets=8)["computed"] == 0
+
+    pq.write_table(generate_webpages(900, seed=5, idx_offset=300),
+                   str(src / "part-1.parquet"))
+    summary = run_job(str(src), root, 12, n_buckets=8)
+    assert summary["skipped"] == 0 and summary["computed"] > 0
+    assert summary["tiles"] != first["tiles"]
+    fresh = run_job(str(src), str(tmp_path / "fresh"), 12, n_buckets=8)
+    assert summary["tiles"] == fresh["tiles"]
+    assert summary["bytes_out"] == fresh["bytes_out"]
+    assert run_job(str(src), root, 12, n_buckets=8)["computed"] == 0
+
+
 def test_tile_bucket_pinned():
     """tile_bucket IS the checkpoint partition layout (stage A buckets
     rows by tile_bucket of the coarse key (z, x>>4, y>>4)). Pin it to

@@ -102,17 +102,17 @@ def test_merge_tile_partials_empty_table():
 def test_tiles_independent_of_reducer_count(tmp_path):
     """aggregate_tiles with 1 and with 64 reducers encodes byte-identical
     tiles: a tile's partials always meet in one reducer block."""
-    from raytiles.pipeline.flagship import (aggregate_tiles, assign,
-                                            encode_tiles, geoparse,
-                                            read_webpages)
+    from raytiles.pipeline.flagship import (aggregate_tiles, encode_tiles,
+                                            mentions)
+    from raytiles.pipeline.stages import pack_tile_partials
     from raytiles.pipeline.synth import generate_webpages
 
     path = str(tmp_path / "webpages.parquet")
     pq.write_table(generate_webpages(3000, seed=7), path, row_group_size=250)
 
     def tiles(reducers: int):
-        ds = assign(geoparse(read_webpages(path)), 12, with_cells=False)
-        df = encode_tiles(aggregate_tiles(ds, reducers)).to_pandas()
+        packed, _ = mentions(path, 12, then=pack_tile_partials)
+        df = encode_tiles(aggregate_tiles(packed, reducers)).to_pandas()
         return df.sort_values(["z", "x", "y"]).reset_index(drop=True)
 
     one, wide = tiles(1), tiles(64)
