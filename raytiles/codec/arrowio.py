@@ -181,7 +181,10 @@ def feature_table_to_tiles(table: pa.Table) -> pa.Table:
     Columnar access throughout (VERDICT r2 item 3): one stable lexsort
     on (z,x,y), flat numpy views of the nested geometry buffers, and
     per-feature part slices — no pandas, no iterrows, no per-point
-    ``.as_py()``."""
+    ``.as_py()``.
+
+    Test reference: test_arrow_feature_table_roundtrip checks
+    ``tiles_to_feature_table`` against this inverse."""
     from .encode import encode_tile
     from .geometry import surveyor
     from .model import Feature, Layer, VectorTile

@@ -622,25 +622,6 @@ def layer_names(buf: bytes) -> list:
     return names
 
 
-def decode_layer_by_name(buf: bytes, name: bytes):
-    """Decode ONE named layer, skipping every other layer's bytes
-    (the reference fetches one layer's first polygon at ~65% of the
-    full-decode cost via laziness, Bench.hs:67; here the skip is
-    explicit)."""
-    for fno, wtype, val in wire.scan_fields(buf, 0, len(buf)):
-        if fno == 3 and wtype == wire.LEN:
-            s, e = val
-            got = None
-            for lf, lw, lv in wire.scan_fields(buf, s, e):
-                if lf == 1 and lw == wire.LEN:
-                    ns, ne = lv
-                    got = bytes(buf[ns:ne])
-                    break
-            if got == name:
-                return _decode_layer(buf, s, e)
-    return None
-
-
 def first_feature(buf: bytes, name: bytes, geom_type: int):
     """First feature of ``geom_type`` in the named layer, decoding ONLY
     that feature — the engine twin of the reference's lazy partial

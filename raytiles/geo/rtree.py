@@ -1,5 +1,5 @@
-"""Packed STR R-tree over tile/region boundaries + vectorized
-point-in-polygon, from scratch (numpy only).
+"""Packed STR R-tree over tile/region boundaries, from scratch (numpy
+only).
 
 The tree is bulk-loaded (Sort-Tile-Recursive) into flat arrays, so the
 whole structure is a handful of ndarrays — cheap to ``ray.put`` once on
@@ -109,19 +109,3 @@ class PackedRTree:
         hit = (x[frontier_p] >= b[:, 0]) & (x[frontier_p] <= b[:, 2]) \
             & (y[frontier_p] >= b[:, 1]) & (y[frontier_p] <= b[:, 3])
         return frontier_p[hit], self.order[frontier_n[hit]]
-
-
-def points_in_polygon(x: np.ndarray, y: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd (crossing number) point-in-polygon for one
-    closed ring ((m, 2) float, ring[0] == ring[-1]). Returns bool mask."""
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    vx = np.asarray(ring, dtype=np.float64)[:, 0]
-    vy = np.asarray(ring, dtype=np.float64)[:, 1]
-    x1, y1 = vx[:-1][None, :], vy[:-1][None, :]
-    x2, y2 = vx[1:][None, :], vy[1:][None, :]
-    straddles = (y1 > y) != (y2 > y)
-    # horizontal edges (y2 == y1) never straddle, but guard the divide
-    dy = np.where(y2 == y1, 1.0, y2 - y1)
-    crosses = straddles & (x < (x2 - x1) * (y - y1) / dy + x1)
-    return crosses.sum(axis=1) % 2 == 1

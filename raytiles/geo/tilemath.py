@@ -58,7 +58,10 @@ def lonlat_to_local(lon: np.ndarray, lat: np.ndarray, z: int,
 
 def tile_bounds(z: int, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """WebMercator-projected lon/lat bounding boxes (lon_min, lat_min,
-    lon_max, lat_max) of XYZ tiles; vectorized; returns (n, 4)."""
+    lon_max, lat_max) of XYZ tiles; vectorized; returns (n, 4).
+    Test reference: test_rtree_tile_assignment_equals_floor_math and
+    test_floor_tile_among_unshrunk_rtree_hits build their R-trees from
+    it to check the assign stage's floor math."""
     n = float(1 << z)
     tx = np.asarray(tx, dtype=np.float64)
     ty = np.asarray(ty, dtype=np.float64)
@@ -125,7 +128,8 @@ def morton_cell(lon: np.ndarray, lat: np.ndarray, level: int = 12) -> np.ndarray
 
 
 def cell_parent(cid: np.ndarray) -> np.ndarray:
-    """Parent cell at res-1 (2x2 split ⇒ halve indices)."""
+    """Parent cell at res-1 (2x2 split ⇒ halve indices). Test
+    reference: test_cell_hierarchy checks ``cell_id`` against it."""
     cid = np.asarray(cid, dtype=np.int64)
     res = cid >> np.int64(CELL_RES_BITS)
     ix = (cid >> np.int64(CELL_IX_BITS)) & np.int64((1 << CELL_RES_BITS - CELL_IX_BITS) - 1)
@@ -134,6 +138,8 @@ def cell_parent(cid: np.ndarray) -> np.ndarray:
 
 
 def cell_unpack(cid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(res, ix, iy) of packed cell ids. Test reference:
+    test_cell_hierarchy checks ``cell_id``'s packing with it."""
     cid = np.asarray(cid, dtype=np.int64)
     res = cid >> np.int64(CELL_RES_BITS)
     ix = (cid >> np.int64(CELL_IX_BITS)) & np.int64((1 << (CELL_RES_BITS - CELL_IX_BITS)) - 1)

@@ -183,7 +183,8 @@ def vectorize_raster(rasters: ray.data.Dataset, threshold: int = 1) -> ray.data.
 
 def vectorize_raster_generic(grid: np.ndarray, threshold: int = 1) -> bytes:
     """The per-cell generic-encoder path for ONE grid — kept as the
-    byte-equality oracle for the columnar heat encoder (tests)."""
+    byte-equality oracle for the columnar heat encoder
+    (test_fastshape_heat_byte_equality)."""
     gy, gx = np.nonzero(grid >= threshold)
     total = float(grid.sum())
     feats = []
@@ -493,7 +494,8 @@ def _ms_edge_xy(edge: str, bx: np.ndarray, by: np.ndarray, s: int):
 def _ms_segments(grid: np.ndarray, threshold: int, s: int):
     """Vectorized marching squares over one dense grid[gy, gx]:
     returns (x0, y0, x1, y1) int64 segment arrays, block scan order
-    (deterministic)."""
+    (deterministic). Test reference: test_ms_sparse_matches_dense_kernel
+    checks ``_ms_segments_sparse`` against it."""
     B = grid >= threshold
     occ_rows = np.nonzero(B.any(axis=1))[0]
     if occ_rows.size == 0:

@@ -24,6 +24,7 @@ import ray
 import ray.data
 
 from ..util import bucket_of, derive_buckets, splitmix64
+from .relational import _fq
 
 _HLL_BUCKETS = 64  # register-merge buckets of the HLL chain
 
@@ -412,7 +413,6 @@ def kmv_distinct(sf_dir: str, k: int = 16) -> ray.data.Dataset:
             out_src.append(str(src[s]))
             out_frac.append(frac)
             out_est.append((k - 1.0) / frac)
-        from .relational import _fq
         return pa.table({
             "source": pa.array(out_src, pa.string()),
             "kth_frac": pa.array(_fq(np.array(out_frac, np.float64), 9)),

@@ -40,7 +40,7 @@ import ray.data
 
 from ..util import bucket_of, cached_ref, derive_buckets, pair_key
 from .dedup import _join_partitions
-from .relational import _p
+from .relational import _fq, _p
 
 
 # dim lookups ride plain TASK functions via the shared worker cache
@@ -351,7 +351,6 @@ def market_share(sf_dir: str, region: str = "ASIA",
     partials = j.map_batches(year_partial, batch_format="pyarrow")
 
     def merge(b: pa.Table) -> pa.Table:
-        from .relational import _fq
         g = pa.TableGroupBy(b, "year").aggregate(
             [("num", "sum"), ("den", "sum")])
         g = g.rename_columns(["year", "num_cents", "den_cents"])

@@ -87,7 +87,8 @@ def encode_trajectories(batch: pa.Table,
 
 def encode_trajectories_generic(batch: pa.Table) -> pa.Table:
     """Per-row generic-encoder path — kept as the byte-equality oracle
-    for the columnar trajectory encoder (tests)."""
+    for the columnar trajectory encoder
+    (test_fastshape_trajectories_byte_equality)."""
     out = {"z": [], "x": [], "y": [], "mvt": [], "n_lines": []}
     for i in range(batch.num_rows):
         urls = batch["urls"][i].as_py()

@@ -7,7 +7,7 @@ import pytest
 
 from raytiles.geo import tilemath as tm
 from raytiles.geo.parse import GeoParser
-from raytiles.geo.rtree import PackedRTree, points_in_polygon
+from raytiles.geo.rtree import PackedRTree
 
 
 def test_tile_anchor_values():
@@ -259,13 +259,6 @@ def test_floor_tile_among_unshrunk_rtree_hits(z):
     covered[pi[ok]] = True
     missing = np.flatnonzero(~covered)
     assert missing.size == 0, list(zip(lon[missing][:5], lat[missing][:5]))
-
-
-def test_points_in_polygon():
-    ring = np.array([[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], dtype=np.float64)
-    x = np.array([2.0, 5.0, -1.0, 3.9])
-    y = np.array([2.0, 2.0, 2.0, 3.9])
-    assert points_in_polygon(x, y, ring).tolist() == [True, False, False, True]
 
 
 def test_quadkey_prefix_is_parent_tile():

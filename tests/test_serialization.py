@@ -158,6 +158,35 @@ def test_no_uint64_output_columns_in_stages():
     assert not offenders, offenders
 
 
+def test_no_relative_imports_in_worker_code():
+    """Convention guard (CLAUDE.md): a relative ``from .x import y`` in
+    a nested function or a method runs where that code runs, and on a
+    Ray worker outside the repo it fails with ModuleNotFoundError.
+    Nested functions and methods are what the stages ship to workers,
+    so the import belongs at module level."""
+    import ast
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent / "raytiles"
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    offenders = []
+
+    def walk(node, in_worker_code: bool, in_func: bool, rel: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.ImportFrom) and child.level
+                    and in_worker_code):
+                offenders.append(f"{rel}:{child.lineno}")
+            is_func = isinstance(child, funcs)
+            walk(child,
+                 in_worker_code or (is_func and in_func)
+                 or (is_func and isinstance(node, ast.ClassDef)),
+                 in_func or is_func, rel)
+
+    for p in sorted(root.rglob("*.py")):
+        walk(ast.parse(p.read_text()), False, False,
+             str(p.relative_to(root)))
+    assert not offenders, offenders
+
+
 def test_derive_buckets_scaling(tmp_path, monkeypatch):
     """Bucket-count derivation: floor at small inputs (historical
     layouts unchanged), linear in input bytes past the floor, capped,
