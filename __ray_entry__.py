@@ -370,14 +370,27 @@ def _q_mvt_enrich(sf_dir: str):
                       b"host_docs")
 
 
+def _via_tempdir(prefix: str, write, read):
+    """A sink/source round trip through a fresh temp dir:
+    ``write(root)``, then ``read(root)`` materialized, then the dir is
+    removed. The returned Dataset holds its blocks and no longer reads
+    the dir, so a run leaves nothing under the temp root."""
+    import shutil
+    import tempfile
+    root = tempfile.mkdtemp(prefix=prefix)
+    try:
+        write(root)
+        return read(root).materialize()
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
 def _q_jsonl_roundtrip(sf_dir: str):
     """JSONL source/sink roundtrip: parquet webpages -> JSONL shards
     -> geoparse — same mentions as the parquet path (pinned by
     pytest). Returns the geoparsed mentions from the JSONL source.
     Rows-only (source-format breadth; values re-checked by the
     geoparse SQL twin shape via the pytest equality)."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -385,18 +398,17 @@ def _q_jsonl_roundtrip(sf_dir: str):
                                            write_webpages_jsonl)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_jsonl_")
-    write_webpages_jsonl(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_jsonl(root))
+    return _via_tempdir(
+        "raytiles_jsonl_",
+        lambda root: write_webpages_jsonl(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_jsonl(root)))
 
 
 def _q_jsonl_gz_roundtrip(sf_dir: str):
     """Gzipped JSONL source/sink roundtrip (crawl-dump exchange form:
     decompression inside each read task's input stream) -> geoparse;
     value-checked against the same geoparse twin as parquet."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -404,10 +416,11 @@ def _q_jsonl_gz_roundtrip(sf_dir: str):
                                            write_webpages_jsonl)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_jsonlgz_")
-    write_webpages_jsonl(
-        _rd.read_parquet(wp, columns=["url", "text"]), root, gz=True)
-    return geoparse(read_webpages_jsonl(root, gz=True))
+    return _via_tempdir(
+        "raytiles_jsonlgz_",
+        lambda root: write_webpages_jsonl(
+            _rd.read_parquet(wp, columns=["url", "text"]), root, gz=True),
+        lambda root: geoparse(read_webpages_jsonl(root, gz=True)))
 
 
 def _q_hive_partition(sf_dir: str):
@@ -415,8 +428,6 @@ def _q_hive_partition(sf_dir: str):
     as <root>/lang=<v>/*.parquet, then ONLY the lang=en directory is
     listed and geoparsed — the predicate-to-directory translation.
     Value-checked against the geoparse twin restricted to lang='en'."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -424,10 +435,11 @@ def _q_hive_partition(sf_dir: str):
                                            write_webpages_hive)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_hive_")
-    write_webpages_hive(
-        _rd.read_parquet(wp, columns=["url", "text", "lang"]), root)
-    return geoparse(read_webpages_hive(root, lang="en"))
+    return _via_tempdir(
+        "raytiles_hive_",
+        lambda root: write_webpages_hive(
+            _rd.read_parquet(wp, columns=["url", "text", "lang"]), root),
+        lambda root: geoparse(read_webpages_hive(root, lang="en")))
 
 
 def _q_warc_roundtrip(sf_dir: str):
@@ -437,8 +449,6 @@ def _q_warc_roundtrip(sf_dir: str):
     SQL twin as the parquet path, so the WARC reader's record parse,
     header recovery, AND the extraction re-derivation are all on the
     hook."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -446,11 +456,12 @@ def _q_warc_roundtrip(sf_dir: str):
                                            write_webpages_warc)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_warc_")
-    write_webpages_warc(
-        _rd.read_parquet(wp, columns=["url", "warc_ts", "html", "lang"]),
-        root)
-    return geoparse(read_webpages_warc(root))
+    return _via_tempdir(
+        "raytiles_warc_",
+        lambda root: write_webpages_warc(
+            _rd.read_parquet(wp, columns=["url", "warc_ts", "html", "lang"]),
+            root),
+        lambda root: geoparse(read_webpages_warc(root)))
 
 
 def _q_tfrecord_roundtrip(sf_dir: str):
@@ -459,8 +470,6 @@ def _q_tfrecord_roundtrip(sf_dir: str):
     read via the lockstep-vectorized CRC kernel) around from-scratch
     tf.train.Example protos. Value-checked against the geoparse SQL
     twin like the parquet path."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -468,18 +477,17 @@ def _q_tfrecord_roundtrip(sf_dir: str):
                                            write_webpages_tfrecord)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_tfrec_")
-    write_webpages_tfrecord(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_tfrecord(root))
+    return _via_tempdir(
+        "raytiles_tfrec_",
+        lambda root: write_webpages_tfrecord(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_tfrecord(root)))
 
 
 def _q_wds_roundtrip(sf_dir: str):
     """WebDataset source/sink roundtrip -> geoparse: tar shards of
     {md5(url)}.url/.txt member pairs (the multimodal training-corpus
     layout), deterministic member metadata, shard-parallel read."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -487,10 +495,11 @@ def _q_wds_roundtrip(sf_dir: str):
                                            write_webpages_wds)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_wds_")
-    write_webpages_wds(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_wds(root))
+    return _via_tempdir(
+        "raytiles_wds_",
+        lambda root: write_webpages_wds(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_wds(root)))
 
 
 def _q_npz_roundtrip(sf_dir: str):
@@ -500,19 +509,12 @@ def _q_npz_roundtrip(sf_dir: str):
     norms from the parquet list column with the identical
     floor(x*x*1e9) per element, so shard encode/decode AND row
     alignment are value-checked."""
-    import tempfile
-
     import numpy as np_
     import pyarrow as pa_
     import ray.data as _rd
 
     from raytiles.pipeline.sources import (read_embeddings_npz,
                                            write_embeddings_npz)
-    root = tempfile.mkdtemp(prefix="raytiles_npz_")
-    write_embeddings_npz(
-        _rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding", "label"]), root)
-
     def norms(b):
         mat = np_.stack(b["embedding"].to_numpy(zero_copy_only=False)) \
             .astype(np_.float64)
@@ -526,16 +528,20 @@ def _q_npz_roundtrip(sf_dir: str):
                 .astype(np_.int64)),
             "norm2_micro": pa_.array(q)})
 
-    return read_embeddings_npz(root).map_batches(
-        norms, batch_format="pyarrow")
+    return _via_tempdir(
+        "raytiles_npz_",
+        lambda root: write_embeddings_npz(
+            _rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                             columns=["vec_id", "embedding", "label"]),
+            root),
+        lambda root: read_embeddings_npz(root).map_batches(
+            norms, batch_format="pyarrow"))
 
 
 def _q_ipc_roundtrip(sf_dir: str):
     """Arrow IPC (Feather V2) source/sink roundtrip -> geoparse —
     full-fidelity zero-copy interchange; value-checked against the
     geoparse SQL twin like the parquet path."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -543,18 +549,17 @@ def _q_ipc_roundtrip(sf_dir: str):
                                            write_webpages_ipc)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_ipc_")
-    write_webpages_ipc(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_ipc(root))
+    return _via_tempdir(
+        "raytiles_ipc_",
+        lambda root: write_webpages_ipc(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_ipc(root)))
 
 
 def _q_orc_roundtrip(sf_dir: str):
     """ORC source/sink roundtrip -> geoparse — the Hive/Spark
     warehouse format via pyarrow.orc, with real column pruning at the
     read; value-checked against the geoparse SQL twin."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -562,18 +567,17 @@ def _q_orc_roundtrip(sf_dir: str):
                                            write_webpages_orc)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_orc_")
-    write_webpages_orc(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_orc(root, columns=["url", "text"]))
+    return _via_tempdir(
+        "raytiles_orc_",
+        lambda root: write_webpages_orc(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_orc(root, columns=["url", "text"])))
 
 
 def _q_csv_roundtrip(sf_dir: str):
     """CSV source/sink roundtrip: parquet webpages -> CSV shards ->
     geoparse. Oracle: the geoparse SQL twin over the original parquet
     (the roundtrip must be lossless for url/text)."""
-    import tempfile
-
     import ray.data as _rd
 
     from raytiles.pipeline.flagship import geoparse
@@ -581,10 +585,11 @@ def _q_csv_roundtrip(sf_dir: str):
                                            write_webpages_csv)
     from raytiles.pipeline.synth import webpages_path
     wp = webpages_path(sf_dir)
-    root = tempfile.mkdtemp(prefix="raytiles_csv_")
-    write_webpages_csv(
-        _rd.read_parquet(wp, columns=["url", "text"]), root)
-    return geoparse(read_webpages_csv(root))
+    return _via_tempdir(
+        "raytiles_csv_",
+        lambda root: write_webpages_csv(
+            _rd.read_parquet(wp, columns=["url", "text"]), root),
+        lambda root: geoparse(read_webpages_csv(root)))
 
 
 def _q_mvt_diff(sf_dir: str):

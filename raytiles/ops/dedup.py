@@ -22,8 +22,8 @@ bucket keys, no driver materialization):
   cap so both stay exact twins); pair-distinct is a second
   bounded-bucket groupby with a vectorized drop_duplicates, not a
   per-pair map_groups;
-- Jaccard verify: DISTRIBUTED hash joins (Dataset.join with explicit
-  num_partitions) of candidate pairs against per-doc shingle-hash
+- Jaccard verify: DISTRIBUTED equi-joins on the bounded bucket
+  exchange (util.join) of candidate pairs against per-doc shingle-hash
   sets — no .to_pandas() of either side onto the driver, no per-pair
   Python loop over driver state. Intersections are numpy set ops on
   sorted uint64 arrays per joined row.
@@ -46,7 +46,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, pair_key, sum_by_key
+from ..util import bucket_of, join, pair_key, sum_by_key
 from .text import TOKEN_RE
 
 # fixed xor constants deriving the i-th minhash permutation from one md5
@@ -60,15 +60,6 @@ SHINGLE_W = 3
 N_DEDUP_BUCKETS = 512
 N_PAIR_BUCKETS = 512
 MAX_BAND_GROUP = 1024  # pair-enumeration cap per (band_id, band_hash)
-
-
-def _join_partitions() -> int:
-    """Bounded hash-join partition count, sized to the cluster: the
-    join's aggregator actors must co-schedule with map tasks, so the
-    partition count never exceeds the CPU budget (32 partitions on a
-    4-cpu test cluster deadlocks waiting for actor slots)."""
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, min(32, cpus))
 
 
 def _md5_u64(strings) -> np.ndarray:
@@ -391,22 +382,15 @@ def _shingle_sets(sf_dir: str) -> ray.data.Dataset:
 
 def jaccard_verify(sf_dir: str, threshold: float = 0.7) -> ray.data.Dataset:
     """MinHash candidates -> exact shingle-set Jaccard, fully
-    distributed: two hash joins (explicit bounded num_partitions)
-    attach each side's shingle-hash set to the pair row, then a
-    map_batches computes |A∩B| via np.intersect1d on the sorted
-    uint64 arrays. No driver materialization anywhere — at 100 TB
+    distributed: two equi-joins on the bounded bucket exchange
+    (util.join) attach each side's shingle-hash set to the pair row,
+    then a map_batches computes |A∩B| via np.intersect1d on the sorted
+    uint64 arrays. The shingle sets are computed once and materialized
+    for both joins. No driver materialization anywhere — at 100 TB
     with real duplication the candidate set is NOT small."""
     pairs = candidate_pairs(sf_dir)
-    sets = _shingle_sets(sf_dir)
-    n_part = _join_partitions()
-
-    # map_groups emits schema-LESS blocks for empty reducer partitions
-    # and the hash join rejects them ("no match for key field doc_a");
-    # a classic repartition merges them into schema'd blocks. Cheap:
-    # candidate pairs are the LSH-filtered side, 16 bytes per row.
-    pairs = pairs.repartition(n_part)
-    j = pairs.join(sets, "inner", n_part,
-                   on=("doc_a",), right_on=("doc_id",))
+    sets = _shingle_sets(sf_dir).materialize()
+    j = join(pairs, sets, "doc_a", "doc_id", "inner", N_PAIR_BUCKETS)
 
     def rename_a(t: pa.Table) -> pa.Table:
         # the join drops the right key column; retag the set columns
@@ -415,8 +399,7 @@ def jaccard_verify(sf_dir: str, threshold: float = 0.7) -> ray.data.Dataset:
         return t.rename_columns([names.get(c, c) for c in t.column_names])
 
     j = j.map_batches(rename_a, batch_format="pyarrow")
-    j = j.join(sets, "inner", n_part,
-               on=("doc_b",), right_on=("doc_id",))
+    j = join(j, sets, "doc_b", "doc_id", "inner", N_PAIR_BUCKETS)
 
     def verify(t: pa.Table) -> pa.Table:
         sh_a, sh_b = t["sh_a"].to_pylist(), t["sh"].to_pylist()
@@ -504,20 +487,19 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
 
     Distributed min-label propagation (no Dataset primitive exists):
     labels start as identity; each round ships labels onto the
-    bidirectional edge set with one bounded hash join, then a
-    bounded-bucket groupby takes each node's min over (own label,
+    bidirectional edge set with one bucket-exchange join (util.join),
+    then a bounded-bucket groupby takes each node's min over (own label,
     neighbours' labels). Labels only ever DECREASE, so sum(label) is
     a monotone convergence metric checked driver-side per round
     (one scalar — never the labels themselves). Rounds needed =
     component diameter; LSH components are near-cliques, so 2-3.
     Non-convergence within max_rounds raises — never a silent
     truncation. At 10^12 docs every step stays bounded: edges and
-    labels are O(dup docs), the join is partitioned, the groupby key
-    is a 512-bucket hash."""
+    labels are O(dup docs), and the join's and the groupby's keys are
+    512-bucket hashes."""
     if sf_dir in _CLUSTERS_CACHE:
         return _CLUSTERS_CACHE[sf_dir]
     pairs = candidate_pairs(sf_dir)
-    n_part = _join_partitions()
 
     def to_edges(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy().astype(np.int64)
@@ -525,8 +507,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
         return pa.table({"src": np.concatenate([a, b]),
                          "dst": np.concatenate([b, a])})
 
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow") \
-        .repartition(n_part).materialize()
+    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
 
     EMPTY = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
     if edges.count() == 0:
@@ -552,12 +533,11 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
 
     labels = edges.map_batches(node_partial, batch_format="pyarrow") \
         .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-        .repartition(n_part).materialize()
+        .materialize()
     prev_sum = labels.sum("label")
 
     for _ in range(max_rounds):
-        j = edges.join(labels, "inner", n_part,
-                       on=("src",), right_on=("doc_id",))
+        j = join(edges, labels, "src", "doc_id", "inner", N_DEDUP_BUCKETS)
 
         def msg(t: pa.Table) -> pa.Table:
             return pa.table({"doc_id": t["dst"], "label": t["label"]})
@@ -567,7 +547,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
             .union(j.map_batches(msg, batch_format="pyarrow"))
         labels = cand.map_batches(add_node_bucket, batch_format="pyarrow") \
             .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-            .repartition(n_part).materialize()
+            .materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break

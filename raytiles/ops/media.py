@@ -187,11 +187,14 @@ class ResizeStub:
 
 
 def media_resize(webpages_path: str, *, target: int = 64,
-                 concurrency=(2, 8)) -> ray.data.Dataset:
+                 concurrency=(1, 8)) -> ray.data.Dataset:
     """Actor-pool image-resize stage over the binary column: the
     third leg of the multimodal plumbing (decode -> features,
     frame-sample, resize). Small batches (fat rows in AND out);
-    deterministic fake kernel, real schema/batching/actor lifecycle."""
+    deterministic fake kernel, real schema/batching/actor lifecycle.
+    The pool starts at one actor like the other media stages: two
+    held both CPU slots of a num_cpus=2 session, and the read feeding
+    them never ran."""
     ds = ray.data.read_parquet(webpages_path, columns=["url", "html"])
     return ds.map_batches(ResizeStub, batch_format="pyarrow",
                           batch_size=256, concurrency=concurrency,

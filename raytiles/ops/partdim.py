@@ -26,7 +26,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..util import bucket_of, derive_buckets
+from ..util import bucket_of, cached_ref, derive_buckets
 from .relational import _fq, _p
 
 
@@ -134,19 +134,17 @@ def top_suppliers(sf_dir: str, date_lo: str = "1996-01-01",
     agg = ds.map_batches(partial, batch_format="pyarrow") \
         .groupby("l_suppkey").aggregate(Sum("cents", alias_name="cents"))
 
-    class JoinSup:
-        def __init__(self, ref):
-            self.sup = ray.get(ref)
+    def join_sup(df: pd.DataFrame) -> pd.DataFrame:
+        # a task fn on the worker-cached dim, not a 2-actor pool: the
+        # pool's actors held both CPU slots of a num_cpus=2 session
+        j = df.merge(cached_ref(sup_ref), left_on="l_suppkey",
+                     right_on="s_suppkey")
+        return pd.DataFrame({
+            "s_suppkey": j["s_suppkey"].astype(np.int64),
+            "s_name": j["s_name"],
+            "revenue": j["cents"].to_numpy().astype(np.float64) / 100.0})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            j = df.merge(self.sup, left_on="l_suppkey", right_on="s_suppkey")
-            return pd.DataFrame({
-                "s_suppkey": j["s_suppkey"].astype(np.int64),
-                "s_name": j["s_name"],
-                "revenue": j["cents"].to_numpy().astype(np.float64) / 100.0})
-
-    joined = agg.map_batches(JoinSup, batch_format="pandas", concurrency=2,
-                             fn_constructor_kwargs={"ref": sup_ref})
+    joined = agg.map_batches(join_sup, batch_format="pandas")
     return joined.sort(["revenue", "s_suppkey"],
                        descending=[True, False]).limit(k)
 

@@ -26,7 +26,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..util import bucket_of, derive_buckets, splitmix64, sum_by_key
+from ..util import (bucket_of, cached_ref, cogroup, derive_buckets, splitmix64,
+                    sum_by_key)
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -136,20 +137,19 @@ def top_customers(sf_dir: str, k: int = 10) -> ray.data.Dataset:
             Sum("revenue", alias_name="revenue"),
             Sum("n_orders", alias_name="n_orders"))
 
-    class JoinDims:
-        def __init__(self, ref):
-            self.dim = ray.get(ref)
+    def join_dims(batch: pd.DataFrame) -> pd.DataFrame:
+        # a task fn on the worker-cached dim, not a 2-actor pool: the
+        # pool's actors held both CPU slots of a num_cpus=2 session
+        # and the aggregate feeding them never ran
+        j = batch.merge(cached_ref(dim_ref), left_on="o_custkey",
+                        right_on="c_custkey")
+        return pd.DataFrame({
+            "c_custkey": j["o_custkey"].astype(np.int64),
+            "c_name": j["c_name"], "n_name": j["n_name"],
+            "revenue": _fq(j["revenue"], 2),
+            "n_orders": j["n_orders"].astype(np.int64)})
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            j = batch.merge(self.dim, left_on="o_custkey", right_on="c_custkey")
-            return pd.DataFrame({
-                "c_custkey": j["o_custkey"].astype(np.int64),
-                "c_name": j["c_name"], "n_name": j["n_name"],
-                "revenue": _fq(j["revenue"], 2),
-                "n_orders": j["n_orders"].astype(np.int64)})
-
-    joined = agg.map_batches(JoinDims, batch_format="pandas", concurrency=2,
-                             fn_constructor_kwargs={"ref": dim_ref})
+    joined = agg.map_batches(join_dims, batch_format="pandas")
     top = joined.sort(["revenue", "c_custkey"], descending=[True, False]).limit(k)
     return top
 
@@ -340,44 +340,28 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
         .groupby("bucket").map_groups(asof_bucket, batch_format="pyarrow")
 
 
-def order_revenue(sf_dir: str, status: str = "O") -> ray.data.Dataset:
-    """Distributed BIG x BIG equi-join: per-order lineitem revenue
-    joined to open orders. Neither side broadcasts — lineitem first
-    collapses to exact per-order partials (per-batch Arrow hash
-    aggregate, then ONE bounded-bucket groupby on splitmix(orderkey)
-    — never a raw groupby on the high-cardinality key), and the
-    result hash-joins the status-filtered orders side with Ray Data's
-    partitioned join (explicit bounded num_partitions, same sizing
-    rule as the dedup joins).
-
-    Revenue is rounded half-away-from-zero to 2 decimals (_fq): the
-    per-order addend count is tiny (<= ~13 lineitems) so engine and
-    oracle sums agree far beyond 2 decimals regardless of addition
-    order. o_orderdate travels as epoch microseconds (int64) so the
-    hashes match exactly."""
-    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
-    from .dedup import _join_partitions
-
+def _order_revenue_sides(sf_dir: str, status: str):
+    """The two sides of ``order_revenue`` and ``order_revenue_left``:
+    lineitem per-batch per-order revenue partials (l_orderkey, rev,
+    n), the status-filtered orders (o_orderkey, o_custkey,
+    orderdate_us), and the per-order merge of the partials that runs
+    inside each co-group bucket."""
     def li_partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         rev = pc.multiply(b["l_extendedprice"], pc.subtract(1.0, b["l_discount"]))
         t = pa.table({"l_orderkey": b["l_orderkey"], "rev": rev})
         g = pa.TableGroupBy(t, "l_orderkey").aggregate(
             [("rev", "sum"), ("rev", "count")])
-        g = g.rename_columns(["l_orderkey", "rev", "n"])
-        return g.append_column(
-            "bucket", pa.array(bucket_of(g["l_orderkey"].to_numpy(), n_buckets)))
+        return g.rename_columns(["l_orderkey", "rev", "n"])
 
     def li_merge(g: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(g.select(["l_orderkey", "rev", "n"]), "l_orderkey") \
+        t = pa.TableGroupBy(g, "l_orderkey") \
             .aggregate([("rev", "sum"), ("n", "sum")])
         t = t.rename_columns(["l_orderkey", "rev", "n_items"])
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "rev": t["rev"],
-                         "n_items": pa.compute.cast(t["n_items"], pa.int64())})
+                         "n_items": pc.cast(t["n_items"], pa.int64())})
 
     def ord_filter(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         b = b.filter(pc.equal(b["o_orderstatus"], status))
         return pa.table({
             "o_orderkey": b["o_orderkey"],
@@ -388,19 +372,34 @@ def order_revenue(sf_dir: str, status: str = "O") -> ray.data.Dataset:
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
-        .map_batches(li_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(li_merge, batch_format="pyarrow")
+        .map_batches(li_partial, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_orderdate"]) \
         .map_batches(ord_filter, batch_format="pyarrow")
+    return li, orders, li_merge
 
-    n_part = _join_partitions()
-    # map_groups emits schema-less blocks for empty reducer partitions
-    # and the hash join rejects them; a cheap repartition merges them
-    li = li.repartition(n_part)
-    j = li.join(orders, "inner", n_part,
-                on=("l_orderkey",), right_on=("o_orderkey",))
+
+def order_revenue(sf_dir: str, status: str = "O") -> ray.data.Dataset:
+    """Distributed BIG x BIG equi-join: per-order lineitem revenue
+    joined to open orders. Neither side broadcasts — lineitem first
+    collapses to per-order partials per batch (Arrow hash aggregate),
+    and the partials meet the status-filtered orders in ONE bounded
+    splitmix(orderkey) bucket exchange (``util.cogroup``): each bucket
+    merges its partials to exact per-order revenue, then joins them
+    to its orders — never a raw groupby on the high-cardinality key.
+
+    Revenue is rounded half-away-from-zero to 2 decimals (_fq): the
+    per-order addend count is tiny (<= ~13 lineitems) so engine and
+    oracle sums agree far beyond 2 decimals regardless of addition
+    order. o_orderdate travels as epoch microseconds (int64) so the
+    hashes match exactly."""
+    n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
+    li, orders, li_merge = _order_revenue_sides(sf_dir, status)
+
+    def merge_join(l: pa.Table, o: pa.Table) -> pa.Table:
+        return li_merge(l).join(o, keys="l_orderkey",
+                                right_keys="o_orderkey", join_type="inner")
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -410,7 +409,8 @@ def order_revenue(sf_dir: str, status: str = "O") -> ray.data.Dataset:
             "revenue": _fq(b["rev"], 2),
             "n_items": b["n_items"].astype(np.int64)})
 
-    return j.map_batches(finalize, batch_format="pandas")
+    return cogroup(li, orders, "l_orderkey", "o_orderkey", merge_join,
+                   n_buckets).map_batches(finalize, batch_format="pandas")
 
 
 def order_revenue_left(sf_dir: str, status: str = "O") -> ray.data.Dataset:
@@ -419,60 +419,18 @@ def order_revenue_left(sf_dir: str, status: str = "O") -> ray.data.Dataset:
     n_items 0 — the null-preserving join shape (reporting joins,
     slowly-filling fact tables) the inner join can't express.
 
-    Same distributed plan — lineitem collapses to exact per-order
-    partials through one bounded-bucket shuffle first, so the outer
-    join's probe side is one row per order, not one per lineitem —
-    with orders as the preserved (left) side of Ray Data's
-    partitioned hash join and a vectorized null-fill finalizer."""
+    Same distributed plan — lineitem per-order partials and orders
+    meet in one bucket exchange, and each bucket merges its partials
+    before the join, so the outer join's probe side is one row per
+    order, not one per lineitem — with orders as the preserved (left)
+    side of each bucket's Arrow join and a vectorized null-fill
+    finalizer."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
-    from .dedup import _join_partitions
+    li, orders, li_merge = _order_revenue_sides(sf_dir, status)
 
-    def li_partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        rev = pc.multiply(b["l_extendedprice"],
-                          pc.subtract(1.0, b["l_discount"]))
-        t = pa.table({"l_orderkey": b["l_orderkey"], "rev": rev})
-        g = pa.TableGroupBy(t, "l_orderkey").aggregate(
-            [("rev", "sum"), ("rev", "count")])
-        g = g.rename_columns(["l_orderkey", "rev", "n"])
-        return g.append_column(
-            "bucket",
-            pa.array(bucket_of(g["l_orderkey"].to_numpy(), n_buckets)))
-
-    def li_merge(g: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(g.select(["l_orderkey", "rev", "n"]),
-                            "l_orderkey") \
-            .aggregate([("rev", "sum"), ("n", "sum")])
-        t = t.rename_columns(["l_orderkey", "rev", "n_items"])
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "rev": t["rev"],
-                         "n_items": pa.compute.cast(t["n_items"],
-                                                    pa.int64())})
-
-    def ord_filter(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        b = b.filter(pc.equal(b["o_orderstatus"], status))
-        return pa.table({
-            "o_orderkey": b["o_orderkey"],
-            "o_custkey": b["o_custkey"],
-            "orderdate_us": pc.cast(
-                pc.cast(b["o_orderdate"], pa.timestamp("us")), pa.int64())})
-
-    li = ray.data.read_parquet(
-        _p(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
-        .map_batches(li_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(li_merge, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        _p(sf_dir, "orders"),
-        columns=["o_orderkey", "o_custkey", "o_orderstatus", "o_orderdate"]) \
-        .map_batches(ord_filter, batch_format="pyarrow")
-
-    n_part = _join_partitions()
-    li = li.repartition(n_part)
-    orders = orders.repartition(n_part)
-    j = orders.join(li, "left_outer", n_part,
-                    on=("o_orderkey",), right_on=("l_orderkey",))
+    def join_merged(o: pa.Table, l: pa.Table) -> pa.Table:
+        return o.join(li_merge(l), keys="o_orderkey",
+                      right_keys="l_orderkey", join_type="left outer")
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
         rev = b["rev"].to_numpy(dtype=np.float64, na_value=0.0)
@@ -484,7 +442,8 @@ def order_revenue_left(sf_dir: str, status: str = "O") -> ray.data.Dataset:
             "revenue": _fq(rev, 2),
             "n_items": n_items.astype(np.int64)})
 
-    return j.map_batches(finalize, batch_format="pandas")
+    return cogroup(orders, li, "o_orderkey", "l_orderkey", join_merged,
+                   n_buckets).map_batches(finalize, batch_format="pandas")
 
 
 def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
@@ -495,11 +454,12 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     The join pipeline mixes both distributed-join idioms by side size:
 
     - lineitem (the biggest table) never reaches the join at raw
-      cardinality — it collapses to exact per-order revenue partials
-      (per-batch Arrow hash aggregate, ONE bounded-bucket groupby on
-      splitmix(orderkey)) exactly like ``order_revenue``;
-    - per-order revenue |><| date-filtered orders is a partitioned
-      BIG x BIG hash join (explicit bounded num_partitions);
+      cardinality — it collapses to per-order revenue partials per
+      batch (Arrow hash aggregate) exactly like ``order_revenue``;
+    - the lineitem partials and the date-filtered orders meet in ONE
+      bounded-bucket exchange (``util.cogroup``); each bucket merges
+      its partials to per-order revenue and joins them to its orders
+      (BIG x BIG, no aggregator actors);
     - customer and nation are DIMENSIONS: joined driver-side into one
       custkey -> n_name map, ray.put once, looked up per batch — a
       broadcast join, never a shuffle.
@@ -511,32 +471,28 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     the oracle's SUM over identically quantized cents matches exactly."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     import pyarrow.parquet as pq
-    from .dedup import _join_partitions
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype(np.int64)
 
     def li_partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         rev = pc.multiply(b["l_extendedprice"], pc.subtract(1.0, b["l_discount"]))
         t = pa.table({"l_orderkey": b["l_orderkey"], "rev": rev})
         g = pa.TableGroupBy(t, "l_orderkey").aggregate([("rev", "sum")])
-        g = g.rename_columns(["l_orderkey", "rev"])
-        return g.append_column(
-            "bucket", pa.array(bucket_of(g["l_orderkey"].to_numpy(), n_buckets)))
+        return g.rename_columns(["l_orderkey", "rev"])
 
-    def li_merge(g: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(g.select(["l_orderkey", "rev"]), "l_orderkey") \
-            .aggregate([("rev", "sum")])
+    def merge_join(l: pa.Table, o: pa.Table) -> pa.Table:
+        t = pa.TableGroupBy(l, "l_orderkey").aggregate([("rev", "sum")])
         t = t.rename_columns(["l_orderkey", "rev"])
         # exact per-order revenue -> int64 cents, half-away-from-zero
         # (revenue >= 0 so floor(x*100 + 0.5) IS half-away-from-zero;
         # the oracle quantizes with the identical expression)
         cents = np.floor(t["rev"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"l_orderkey": t["l_orderkey"], "cents": cents})
+        return pa.table({"l_orderkey": t["l_orderkey"], "cents": cents}) \
+            .join(o, keys="l_orderkey", right_keys="o_orderkey",
+                  join_type="inner")
 
     def ord_filter(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         d = pc.cast(pc.cast(b["o_orderdate"], pa.timestamp("us")), pa.int64())
         m = pc.and_(pc.greater_equal(d, lo), pc.less(d, hi))
         b = b.filter(m)
@@ -546,17 +502,12 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"]) \
-        .map_batches(li_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(li_merge, batch_format="pyarrow")
+        .map_batches(li_partial, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
         .map_batches(ord_filter, batch_format="pyarrow")
-
-    n_part = _join_partitions()
-    li = li.repartition(n_part)
-    j = li.join(orders, "inner", n_part,
-                on=("l_orderkey",), right_on=("o_orderkey",))
+    j = cogroup(li, orders, "l_orderkey", "o_orderkey", merge_join, n_buckets)
 
     # dimension side: customer |><| nation folded to ONE broadcast map
     cust = pq.read_table(_p(sf_dir, "customer"),
@@ -565,36 +516,30 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
                         columns=["n_nationkey", "n_name"])
     dim = cust.to_pandas().merge(
         nat.to_pandas(), left_on="c_nationkey", right_on="n_nationkey")
-    dim_ref = ray.put((dim["c_custkey"].to_numpy(np.int64),
-                       dim["n_name"].to_numpy()))
+    keys = dim["c_custkey"].to_numpy(np.int64)
+    order = np.argsort(keys, kind="stable")
+    dim_ref = ray.put((keys[order], dim["n_name"].to_numpy()[order]))
 
-    class NationPartial:
+    def nation_partial(b: pa.Table) -> pa.Table:
         """Broadcast custkey -> n_name lookup + per-batch partial sum:
-        each batch leaves as <= 25 (nation, cents, n) rows."""
+        each batch leaves as <= 25 (nation, cents, n) rows. A task fn
+        on the worker-cached dim, not a 2-actor pool: the pool's
+        actors held both CPU slots of a num_cpus=2 session."""
+        keys, names = cached_ref(dim_ref)
+        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(keys, ck)
+        pos = np.clip(pos, 0, len(keys) - 1)
+        # synth FKs are complete; guard anyway (drop misses)
+        ok = keys[pos] == ck
+        t = pa.table({"n_name": pa.array(names[pos][ok]),
+                      "cents": pa.array(
+                          b["cents"].to_numpy(zero_copy_only=False)[ok]),
+                      "one": pa.array(np.ones(int(ok.sum()), np.int64))})
+        g = pa.TableGroupBy(t, "n_name").aggregate(
+            [("cents", "sum"), ("one", "sum")])
+        return g.rename_columns(["n_name", "cents", "n"])
 
-        def __init__(self, ref):
-            keys, names = ray.get(ref)
-            order = np.argsort(keys, kind="stable")
-            self.keys = keys[order]
-            self.names = names[order]
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.keys, ck)
-            pos = np.clip(pos, 0, len(self.keys) - 1)
-            # synth FKs are complete; guard anyway (drop misses)
-            ok = self.keys[pos] == ck
-            t = pa.table({"n_name": pa.array(self.names[pos][ok]),
-                          "cents": pa.array(
-                              b["cents"].to_numpy(zero_copy_only=False)[ok]),
-                          "one": pa.array(np.ones(int(ok.sum()), np.int64))})
-            g = pa.TableGroupBy(t, "n_name").aggregate(
-                [("cents", "sum"), ("one", "sum")])
-            return g.rename_columns(["n_name", "cents", "n"])
-
-    partials = j.map_batches(NationPartial, batch_format="pyarrow",
-                             concurrency=2,
-                             fn_constructor_kwargs={"ref": dim_ref})
+    partials = j.map_batches(nation_partial, batch_format="pyarrow")
 
     # <= 25 rows per block after the partial: a third hash-shuffle's
     # aggregator-actor spin-up would dominate — coalesce + one narrow
@@ -717,15 +662,15 @@ def cohort_revenue_full(sf_dir: str, year_a: int = 1996,
     may be dropped (customers who churned, customers newly acquired,
     and retained customers all appear).
 
-    Each side collapses to exact per-customer partials first (per-row
-    INT64-cent quantization -> per-batch hash-agg -> ONE bounded
-    splitmix(custkey) bucket merge), so the full_outer hash join sees
-    one row per (customer, side); the finalizer coalesces the two key
-    columns and null-fills the missing side with zeros. Both null
-    directions are exercised by construction (disjoint cohort members
-    exist on each side)."""
+    Each side collapses to per-customer partials per batch (per-row
+    INT64-cent quantization -> per-batch hash-agg); both sides meet in
+    ONE bounded splitmix(custkey) bucket exchange (``util.cogroup``),
+    where each bucket merges each side to exact per-customer totals
+    and full-outer joins them — one row per (customer, side) reaches
+    the join; the finalizer null-fills the missing side with zeros.
+    Both null directions are exercised by construction (disjoint
+    cohort members exist on each side)."""
     n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
-    from .dedup import _join_partitions
 
     def window(year: int):
         lo = np.datetime64(f"{year}-01-01").astype("datetime64[us]") \
@@ -750,34 +695,33 @@ def cohort_revenue_full(sf_dir: str, year_a: int = 1996,
                           n_col: np.ones(b.num_rows, np.int64)})
             g = pa.TableGroupBy(t, key).aggregate(
                 [(cents_col, "sum"), (n_col, "sum")])
-            g = g.rename_columns([key, cents_col, n_col])
-            return g.append_column(
-                "bucket", pa.array(bucket_of(g[key].to_numpy(), n_buckets)))
-
-        def merge(g: pa.Table) -> pa.Table:
-            t = pa.TableGroupBy(g.select([key, cents_col, n_col]), key) \
-                .aggregate([(cents_col, "sum"), (n_col, "sum")])
-            t = t.rename_columns([key, cents_col, n_col])
-            return pa.table({key: t[key],
-                             cents_col: pc.cast(t[cents_col], pa.int64()),
-                             n_col: pc.cast(t[n_col], pa.int64())})
+            return g.rename_columns([key, cents_col, n_col])
 
         return ray.data.read_parquet(
             _p(sf_dir, "orders"),
             columns=["o_custkey", "o_orderdate", "o_totalprice"]) \
-            .map_batches(partial, batch_format="pyarrow") \
-            .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+            .map_batches(partial, batch_format="pyarrow")
 
-    a = side(year_a, "ck_a", "cents_a", "n_a")
-    b = side(year_b, "ck_b", "cents_b", "n_b")
-    n_part = _join_partitions()
-    a = a.repartition(n_part)
-    b = b.repartition(n_part)
-    j = a.join(b, "full_outer", n_part, on=("ck_a",), right_on=("ck_b",))
+    def merge(g: pa.Table) -> pa.Table:
+        key, cents_col, n_col = g.column_names
+        t = pa.TableGroupBy(g, key) \
+            .aggregate([(cents_col, "sum"), (n_col, "sum")])
+        t = t.rename_columns([key, cents_col, n_col])
+        return pa.table({key: t[key],
+                         cents_col: pc.cast(t[cents_col], pa.int64()),
+                         n_col: pc.cast(t[n_col], pa.int64())})
+
+    def merge_join(a: pa.Table, b: pa.Table) -> pa.Table:
+        return merge(a).join(merge(b), keys="ck_a", right_keys="ck_b",
+                             join_type="full outer")
+
+    j = cogroup(side(year_a, "ck_a", "cents_a", "n_a"),
+                side(year_b, "ck_b", "cents_b", "n_b"),
+                "ck_a", "ck_b", merge_join, n_buckets)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        # Ray's full_outer emits the join key ONCE, coalesced into the
-        # left key column — ck_a is already non-null for every row
+        # Arrow's full outer join emits the join key ONCE, coalesced
+        # into the left key column — ck_a is non-null for every row
         out = pd.DataFrame({
             "o_custkey": df["ck_a"].to_numpy(dtype=np.float64)
                 .astype(np.int64),
@@ -1024,18 +968,7 @@ def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
 
     _SCHEMA = pa.schema([
         ("orderkey", pa.int64()), ("l_returnflag", pa.string()),
-        ("s_price", pa.float64()), ("n", pa.int64()),
-        ("side", pa.int8()), ("bucket", pa.int64())])
-
-    def build_rows(b: pa.Table) -> pa.Table:
-        key = b["o_orderkey"].to_numpy().astype(np.int64)
-        return pa.table({
-            "orderkey": key,
-            "l_returnflag": np.full(len(key), "", dtype=object),
-            "s_price": np.zeros(len(key)),
-            "n": np.zeros(len(key), np.int64),
-            "side": np.zeros(len(key), np.int8),
-            "bucket": bucket_of(key, n_buckets)}, schema=_SCHEMA)
+        ("s_price", pa.float64()), ("n", pa.int64())])
 
     def probe(b: pa.Table) -> pa.Table:
         blm = ray.get(bloom_ref)
@@ -1058,15 +991,10 @@ def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
         return pa.table({
             "orderkey": g["orderkey"], "l_returnflag": g["l_returnflag"],
             "s_price": g["s_price"],
-            "n": pa.compute.cast(g["n"], pa.int64()),
-            "side": pa.array(np.ones(g.num_rows, np.int8)),
-            "bucket": pa.array(bucket_of(g["orderkey"].to_numpy(),
-                                         n_buckets))}, schema=_SCHEMA)
+            "n": pc.cast(g["n"], pa.int64())}, schema=_SCHEMA)
 
-    def verify(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        key = g["orderkey"].to_numpy()
-        keep = (side == 1) & np.isin(key, key[side == 0])
+    def verify(keys: pa.Table, g: pa.Table) -> pa.Table:
+        keep = np.isin(g["orderkey"].to_numpy(), keys["o_orderkey"].to_numpy())
         if not keep.any():
             return pa.schema([("l_returnflag", pa.string()),
                               ("s_price", pa.float64()),
@@ -1078,10 +1006,10 @@ def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
 
     probe_ds = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice"])
-    parts = build.map_batches(build_rows, batch_format="pyarrow") \
-        .union(probe_ds.map_batches(probe, batch_format="pyarrow")) \
-        .groupby("bucket").map_groups(verify, batch_format="pyarrow")
+        columns=["l_orderkey", "l_returnflag", "l_extendedprice"]) \
+        .map_batches(probe, batch_format="pyarrow")
+    parts = cogroup(build, probe_ds, "o_orderkey", "orderkey", verify,
+                    n_buckets)
     agg = parts.groupby("l_returnflag").aggregate(
         Sum("s_price", alias_name="s"), Sum("n", alias_name="n_items"))
 
@@ -2042,8 +1970,6 @@ def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
     Touching intervals (next.start == prev.end) merge, mirroring the
     SQL's strict `s > prev_max` island break."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
-    from raytiles.util import bucket_of
-
     dur_us = duration_s * 1_000_000
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -2173,8 +2099,6 @@ def rolling_dau(sf_dir: str, window_days: int = 7) -> ray.data.Dataset:
     row per (day, user, batch)."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Sum
-    from raytiles.util import bucket_of
-
     DAY_US = 86_400_000_000
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
@@ -2239,6 +2163,40 @@ def rolling_dau(sf_dir: str, window_days: int = 7) -> ray.data.Dataset:
     return agg.map_batches(finalize, batch_format="pandas")
 
 
+_CENT_BUCKETS = 512  # fixed: the (type, cent) domain, not the input, sizes it
+
+
+def _cent_counts(sf_dir: str) -> pd.DataFrame:
+    """(event_type, cent, n): how many events of each type carry each
+    cent-quantized value. Per-batch partial counts, one bounded
+    splitmix(cent) bucket merge, collected on the driver — the table
+    is |types| x |cents|, bounded by the value domain whatever the
+    input size."""
+    def partial(batch: pa.Table) -> pa.Table:
+        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
+                        pa.int64())
+        t = pa.table({"event_type": batch["event_type"], "cent": cents,
+                      "one": pa.array(np.ones(len(cents), np.int64))})
+        g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
+            [("one", "sum")])
+        g = g.rename_columns(["event_type", "cent", "n"])
+        cent = g["cent"].to_numpy()
+        return pa.table({
+            "bucket": bucket_of(cent, _CENT_BUCKETS),
+            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
+
+    def merge(g: pa.Table) -> pa.Table:
+        out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
+                              ["event_type", "cent"]).aggregate([("n", "sum")])
+        return out.rename_columns(["event_type", "cent", "n"])
+
+    return ray.data.read_parquet(_p(sf_dir, "events"),
+                                 columns=["event_type", "value"]) \
+        .map_batches(partial, batch_format="pyarrow") \
+        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
+        .to_pandas()
+
+
 def events_deciles(sf_dir: str) -> pd.DataFrame:
     """Exact rank-based decile statistics per event_type (decile =
     ((rank-1)*10) // n with ties sharing the lower rank): row count,
@@ -2253,32 +2211,7 @@ def events_deciles(sf_dir: str) -> pd.DataFrame:
     from the O(domain) count table (cumulative counts give every
     distinct value's exact rank). At 100 TB the collected table is
     still |types| x |cents| regardless of input size."""
-    from raytiles.util import bucket_of
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                        pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "cent": cents,
-                      "one": pa.array(np.ones(len(cents), np.int64))})
-        g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
-            [("one", "sum")])
-        g = g.rename_columns(["event_type", "cent", "n"])
-        cent = g["cent"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(cent, 512),
-            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
-
-    def merge(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
-                              ["event_type", "cent"]).aggregate([("n", "sum")])
-        return out.rename_columns(["event_type", "cent", "n"])
-
-    counts = ray.data.read_parquet(_p(sf_dir, "events"),
-                                   columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
-        .to_pandas()
+    counts = _cent_counts(sf_dir)
 
     rows = []
     for et, grp in counts.groupby("event_type"):
@@ -2310,8 +2243,6 @@ def user_journeys(sf_dir: str) -> ray.data.Dataset:
     the final per-USER string construction (one slice + decode per
     user, not per event)."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
-    from raytiles.util import bucket_of
-
     def tag(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         uid = batch["user_id"].to_numpy()
@@ -2426,8 +2357,6 @@ def churned_users(sf_dir: str, window_days: int = 1) -> ray.data.Dataset:
     filter (first AND NOT last) is a vectorized mask — no join, no
     second shuffle, output bounded by the churned-user count."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
-    from raytiles.util import bucket_of
-
     DAY_US = 86_400_000_000
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
@@ -2531,32 +2460,7 @@ def quantile_cont(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9)) -> pd.DataFrame:
     cumulative counts to ranks and applies the interpolation formula —
     the IDENTICAL double-op sequence the oracle SQL spells out, so
     parity is exact after a round to 6."""
-    from raytiles.util import bucket_of
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                        pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "cent": cents,
-                      "one": pa.array(np.ones(len(cents), np.int64))})
-        g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
-            [("one", "sum")])
-        g = g.rename_columns(["event_type", "cent", "n"])
-        cent = g["cent"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(cent, 512),
-            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
-
-    def merge(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
-                              ["event_type", "cent"]).aggregate([("n", "sum")])
-        return out.rename_columns(["event_type", "cent", "n"])
-
-    counts = ray.data.read_parquet(_p(sf_dir, "events"),
-                                   columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
-        .to_pandas()
+    counts = _cent_counts(sf_dir)
 
     rows = []
     for et, grp in counts.groupby("event_type"):
@@ -2589,8 +2493,6 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p") -> ray.data.Dataset:
     findall over a short string."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     import re as _re
-
-    from raytiles.util import bucket_of
 
     rx = _re.compile(pattern)
 
@@ -2641,8 +2543,6 @@ def new_users_curve(sf_dir: str) -> pd.DataFrame:
     driver over n_days rows."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Max, Min, Sum
-    from raytiles.util import bucket_of
-
     DAY_US = 86_400_000_000
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
@@ -2699,8 +2599,6 @@ def time_weighted_value(sf_dir: str) -> ray.data.Dataset:
     2^63), and BOTH sides convert the same exact int64 numerator to
     double for the final division, so parity holds to the round."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
-    from raytiles.util import bucket_of
-
     def tag(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         uid = batch["user_id"].to_numpy()
@@ -2764,8 +2662,6 @@ def audience_overlap(sf_dir: str) -> ray.data.Dataset:
     exactly across buckets; the tiny finalize computes Jaccard."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Sum
-    from raytiles.util import bucket_of
-
     def distinct_pairs(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy()
         et = batch["event_type"].to_numpy(zero_copy_only=False)
@@ -2832,32 +2728,7 @@ def mad_stats(sf_dir: str) -> pd.DataFrame:
     (the events_deciles pattern); the deviation re-histogram is a
     driver-side O(domain) regroup, exact integer arithmetic until the
     final /100."""
-    from raytiles.util import bucket_of
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                        pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "cent": cents,
-                      "one": pa.array(np.ones(len(cents), np.int64))})
-        g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
-            [("one", "sum")])
-        g = g.rename_columns(["event_type", "cent", "n"])
-        cent = g["cent"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(cent, 512),
-            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
-
-    def merge(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
-                              ["event_type", "cent"]).aggregate([("n", "sum")])
-        return out.rename_columns(["event_type", "cent", "n"])
-
-    counts = ray.data.read_parquet(_p(sf_dir, "events"),
-                                   columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
-        .to_pandas()
+    counts = _cent_counts(sf_dir)
 
     def _median_of(cents: np.ndarray, c: np.ndarray) -> int:
         order = np.argsort(cents, kind="stable")
@@ -2894,8 +2765,6 @@ def loyal_users(sf_dir: str, event_type: str = "purchase") -> ray.data.Dataset:
     full-coverage users."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
     from ray.data.aggregate import Max
-    from raytiles.util import bucket_of
-
     DAY_US = 86_400_000_000
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
@@ -3014,8 +2883,6 @@ def order_discount_factor(sf_dir: str) -> ray.data.Dataset:
     batch to one partial per (order, batch); ONE bounded
     splitmix(orderkey) bucket shuffle; in-bucket integer-sum merge."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 512)
-    from raytiles.util import bucket_of
-
     def partial(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy()
         d = batch["l_discount"].to_numpy(zero_copy_only=False)
@@ -3106,32 +2973,7 @@ def winsorized_mean(sf_dir: str, lo_q: float = 0.05,
     (the events_deciles pattern). Clamping and the weighted sum stay
     EXACT int64 cent arithmetic; the single closing division is the
     only float op (round 6), mirrored in the twin."""
-    from raytiles.util import bucket_of
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                        pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "cent": cents,
-                      "one": pa.array(np.ones(len(cents), np.int64))})
-        g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
-            [("one", "sum")])
-        g = g.rename_columns(["event_type", "cent", "n"])
-        cent = g["cent"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(cent, 512),
-            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
-
-    def merge(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
-                              ["event_type", "cent"]).aggregate([("n", "sum")])
-        return out.rename_columns(["event_type", "cent", "n"])
-
-    counts = ray.data.read_parquet(_p(sf_dir, "events"),
-                                   columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
-        .to_pandas()
+    counts = _cent_counts(sf_dir)
 
     rows = []
     for et, grp in counts.groupby("event_type"):
@@ -3166,8 +3008,6 @@ def order_gini(sf_dir: str) -> pd.DataFrame:
     division is float, mirrored in the twin."""
     n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
     from ray.data.aggregate import Sum
-    from raytiles.util import bucket_of
-
     def partial(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy()
         u, c = np.unique(ck, return_counts=True)
@@ -3221,37 +3061,18 @@ def late_orders(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
     grace_us = np.int64(grace_days) * 86_400_000_000
 
     def li_partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         ship = pc.cast(pc.cast(b["l_shipdate"], pa.timestamp("us")), pa.int64())
         t = pa.table({"orderkey": b["l_orderkey"], "ship": ship})
         g = pa.TableGroupBy(t, "orderkey").aggregate([("ship", "max")])
-        g = g.rename_columns(["orderkey", "max_ship"])
-        ok = g["orderkey"].to_numpy()
-        return pa.table({
-            "orderkey": ok.astype(np.int64),
-            "max_ship": g["max_ship"],
-            "odate": np.zeros(ok.size, np.int64),
-            "priority": np.full(ok.size, "", dtype=object),
-            "side": np.ones(ok.size, np.int8),
-            "bucket": bucket_of(ok, n_buckets)})
+        return g.rename_columns(["orderkey", "max_ship"])
 
     def ord_partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         od = pc.cast(pc.cast(b["o_orderdate"], pa.timestamp("us")), pa.int64())
-        ok = b["o_orderkey"].to_numpy()
-        return pa.table({
-            "orderkey": ok.astype(np.int64),
-            "max_ship": np.full(ok.size, np.iinfo(np.int64).min, np.int64),
-            "odate": od,
-            "priority": b["o_orderpriority"],
-            "side": np.zeros(ok.size, np.int8),
-            "bucket": bucket_of(ok, n_buckets)})
+        return pa.table({"orderkey": b["o_orderkey"], "odate": od,
+                         "priority": b["o_orderpriority"]})
 
-    def semi(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        okey = g["orderkey"].to_numpy()
-        li_m = side == 1
-        k = okey[li_m]
+    def semi(li: pa.Table, o: pa.Table) -> pa.Table:
+        k = li["orderkey"].to_numpy()
         order = np.argsort(k, kind="stable")
         k = k[order]
         if len(k):
@@ -3259,20 +3080,18 @@ def late_orders(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
                 np.concatenate(([True], k[1:] != k[:-1])))
             ms_keys = k[starts]
             ms_vals = np.maximum.reduceat(
-                g["max_ship"].to_numpy()[li_m][order], starts)
+                li["max_ship"].to_numpy()[order], starts)
         else:
             ms_keys, ms_vals = k, k
-        o_m = side == 0
-        o_key = okey[o_m]
+        o_key = o["orderkey"].to_numpy()
         mapped = np.full(len(o_key), np.iinfo(np.int64).min, np.int64)
         if len(ms_keys):
             pos = np.clip(np.searchsorted(ms_keys, o_key),
                           0, len(ms_keys) - 1)
             found = ms_keys[pos] == o_key
             mapped[found] = ms_vals[pos[found]]
-        late = (mapped > (g["odate"].to_numpy()[o_m] + grace_us)) \
-            .astype(np.int64)
-        prio = g["priority"].to_numpy(zero_copy_only=False)[o_m]
+        late = (mapped > (o["odate"].to_numpy() + grace_us)).astype(np.int64)
+        prio = o["priority"].to_numpy(zero_copy_only=False)
         pu, inv = np.unique(prio, return_inverse=True)
         return pa.table({
             "priority": pa.array(pu, pa.string()),
@@ -3289,8 +3108,7 @@ def late_orders(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"]) \
         .map_batches(ord_partial, batch_format="pyarrow")
-    agg = li.union(orders).groupby("bucket") \
-        .map_groups(semi, batch_format="pyarrow") \
+    agg = cogroup(li, orders, "orderkey", "orderkey", semi, n_buckets) \
         .groupby("priority").aggregate(
             Sum("n_late", alias_name="n_late"),
             Sum("n_orders", alias_name="n_orders"))
@@ -3450,35 +3268,21 @@ def idle_customers(sf_dir: str,
         cents = np.floor(b["c_acctbal"].to_numpy() * 100.0 + 0.5) \
             .astype(np.int64)
         keep = cents * n_pos > s_pos
-        ck = b["c_custkey"].to_numpy()[keep].astype(np.int64)
         return pa.table({
-            "custkey": ck,
+            "custkey": b["c_custkey"].to_numpy()[keep].astype(np.int64),
             "nation": b["c_nationkey"].to_numpy()[keep].astype(np.int64),
-            "cents": cents[keep],
-            "side": np.zeros(ck.size, np.int8),
-            "bucket": bucket_of(ck, n_buckets)})
+            "cents": cents[keep]})
 
     def ord_partial(b: pa.Table) -> pa.Table:
         ts = b["o_orderdate"].to_numpy().astype("datetime64[us]") \
             .astype(np.int64)
         ck = b["o_custkey"].to_numpy().astype(np.int64)
-        u = np.unique(ck[ts >= cutoff_us])
-        return pa.table({
-            "custkey": u,
-            "nation": np.zeros(u.size, np.int64),
-            "cents": np.zeros(u.size, np.int64),
-            "side": np.ones(u.size, np.int8),
-            "bucket": bucket_of(u, n_buckets)})
+        return pa.table({"custkey": np.unique(ck[ts >= cutoff_us])})
 
-    def anti(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        ck = g["custkey"].to_numpy()
-        have = ck[side == 1]
-        cm = side == 0
-        idle = cm.copy()
-        idle[cm] = ~np.isin(ck[cm], have)
-        nat = g["nation"].to_numpy()[idle]
-        cents = g["cents"].to_numpy()[idle]
+    def anti(c: pa.Table, o: pa.Table) -> pa.Table:
+        idle = ~np.isin(c["custkey"].to_numpy(), o["custkey"].to_numpy())
+        nat = c["nation"].to_numpy()[idle]
+        cents = c["cents"].to_numpy()[idle]
         if nat.size == 0:
             return pa.table({"nation": pa.array([], pa.int64()),
                              "n_cust": pa.array([], pa.int64()),
@@ -3496,8 +3300,7 @@ def idle_customers(sf_dir: str,
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"), columns=["o_custkey", "o_orderdate"]) \
         .map_batches(ord_partial, batch_format="pyarrow")
-    agg = cust.union(orders).groupby("bucket") \
-        .map_groups(anti, batch_format="pyarrow") \
+    agg = cogroup(cust, orders, "custkey", "custkey", anti, n_buckets) \
         .groupby("nation").aggregate(
             Sum("n_cust", alias_name="n_cust"),
             Sum("total_cents", alias_name="total_cents"))
@@ -3535,36 +3338,17 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
                       "suppkey": b["l_suppkey"], "ship": ship})
         g = pa.TableGroupBy(t, ["orderkey", "suppkey"]).aggregate(
             [("ship", "max")])
-        g = g.rename_columns(["orderkey", "suppkey", "max_ship"])
-        ok = g["orderkey"].to_numpy().astype(np.int64)
-        return pa.table({
-            "orderkey": ok,
-            "suppkey": g["suppkey"].to_numpy().astype(np.int64),
-            "max_ship": g["max_ship"],
-            "odate": np.zeros(ok.size, np.int64),
-            "side": np.ones(ok.size, np.int8),
-            "bucket": bucket_of(ok, n_buckets)})
+        return g.rename_columns(["orderkey", "suppkey", "max_ship"])
 
     def ord_partial(b: pa.Table) -> pa.Table:
-        mask = pc.equal(b["o_orderstatus"], "F")
-        b = b.filter(mask)
+        b = b.filter(pc.equal(b["o_orderstatus"], "F"))
         od = pc.cast(pc.cast(b["o_orderdate"], pa.timestamp("us")),
                      pa.int64())
-        ok = b["o_orderkey"].to_numpy().astype(np.int64)
-        return pa.table({
-            "orderkey": ok,
-            "suppkey": np.zeros(ok.size, np.int64),
-            "max_ship": np.full(ok.size, np.iinfo(np.int64).min, np.int64),
-            "odate": od,
-            "side": np.zeros(ok.size, np.int8),
-            "bucket": bucket_of(ok, n_buckets)})
+        return pa.table({"orderkey": b["o_orderkey"], "odate": od})
 
-    def blame(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        okey = g["orderkey"].to_numpy()
-        li_m = side == 1
-        lo, ls = okey[li_m], g["suppkey"].to_numpy()[li_m]
-        lm = g["max_ship"].to_numpy()[li_m]
+    def blame(li: pa.Table, o: pa.Table) -> pa.Table:
+        lo, ls = li["orderkey"].to_numpy(), li["suppkey"].to_numpy()
+        lm = li["max_ship"].to_numpy()
         order = np.lexsort((ls, lo))
         lo, ls, lm = lo[order], ls[order], lm[order]
         if lo.size:
@@ -3574,9 +3358,8 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
             lm_p = np.maximum.reduceat(lm, starts_p)
         else:
             lo_p, ls_p, lm_p = lo, ls, lm
-        o_m = side == 0
-        o_key = okey[o_m]
-        o_od = g["odate"].to_numpy()[o_m]
+        o_key = o["orderkey"].to_numpy()
+        o_od = o["odate"].to_numpy()
         oo = np.argsort(o_key, kind="stable")
         o_key, o_od = o_key[oo], o_od[oo]
         if o_key.size and lo_p.size:
@@ -3616,8 +3399,7 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_orderdate", "o_orderstatus"]) \
         .map_batches(ord_partial, batch_format="pyarrow")
-    agg = li.union(orders).groupby("bucket") \
-        .map_groups(blame, batch_format="pyarrow") \
+    agg = cogroup(li, orders, "orderkey", "orderkey", blame, n_buckets) \
         .groupby("s_suppkey").aggregate(Sum("n_waits", alias_name="n_waits"))
 
     def finalize(df: pd.DataFrame, _ref=names_ref) -> pd.DataFrame:

@@ -31,7 +31,7 @@ import ray.data
 from ..geo.tilemath import lonlat_to_tile
 from ..pipeline.flagship import mentions
 from ..pipeline.synth import CITIES
-from ..util import bucket_of, derive_buckets, pair_key
+from ..util import bucket_of, derive_buckets, join, pair_key
 from .relational import _fq
 from .similarity import _cached_stage
 from .webcorpus import HOST_RE, _md5_u64
@@ -970,21 +970,20 @@ def tile_components(webpages_path: str, zoom: int = 12,
     (isolated tiles form no edge, mirroring dup_clusters' contract).
 
     Same distributed min-label propagation as ops.dedup.dup_clusters
-    (labels start as identity; each round one bounded hash join ships
-    labels over the bidirectional edges and a bounded-bucket groupby
-    takes per-node minima; sum(label) is the monotone convergence
-    scalar). Spatial components are chains, not cliques — diameter,
-    and so round count, can reach tens for coastline-shaped regions;
-    max_rounds=32 with a loud failure, never silent truncation.
+    (labels start as identity; each round one bucket-exchange join
+    (util.join) ships labels over the bidirectional edges and a
+    bounded-bucket groupby takes per-node minima; sum(label) is the
+    monotone convergence scalar). Spatial components are chains, not
+    cliques — diameter, and so round count, can reach tens for
+    coastline-shaped regions; max_rounds=32 with a loud failure, never
+    silent truncation.
 
     Exact DuckDB twin: oracles.tile_components_sql (recursive
     reachability walk, min label per node)."""
     nb = derive_buckets(webpages_path, 256)
-    from .dedup import _join_partitions
 
     KX = np.int64(1) << np.int64(26)
     pairs = tile_adjacency(webpages_path, zoom)
-    n_part = _join_partitions()
 
     def to_edges(t: pa.Table) -> pa.Table:
         a = t["xa"].to_numpy() * KX + t["ya"].to_numpy()
@@ -992,8 +991,7 @@ def tile_components(webpages_path: str, zoom: int = 12,
         return pa.table({"src": pa.array(np.concatenate([a, b])),
                          "dst": pa.array(np.concatenate([b, a]))})
 
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow") \
-        .repartition(n_part).materialize()
+    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
     EMPTY = pa.table({"z": pa.array([], pa.int64()),
                       "x": pa.array([], pa.int64()),
                       "y": pa.array([], pa.int64()),
@@ -1003,9 +1001,9 @@ def tile_components(webpages_path: str, zoom: int = 12,
     if n_edges == 0:
         return ray.data.from_arrow(EMPTY)
 
-    # AQE (the big_orders pattern): the per-round join's fixed cost
-    # (~1.4 s actor spin-up) dwarfs the work below millions of edges,
-    # so a MEASURED small edge set collapses on the driver with a
+    # AQE (the big_orders pattern): the per-round exchange's fixed
+    # cost dwarfs the work below millions of edges, so a MEASURED
+    # small edge set collapses on the driver with a
     # vectorized min-label fixpoint + pointer jumping (O(E) numpy per
     # round, O(log diameter) rounds) — take_all gated behind the
     # count, the bounded-materialization contract. Bigger graphs take
@@ -1053,12 +1051,11 @@ def tile_components(webpages_path: str, zoom: int = 12,
 
     labels = edges.map_batches(node_partial, batch_format="pyarrow") \
         .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-        .repartition(n_part).materialize()
+        .materialize()
     prev_sum = labels.sum("label")
 
     for _ in range(max_rounds):
-        j = edges.join(labels, "inner", n_part,
-                       on=("src",), right_on=("key",))
+        j = join(edges, labels, "src", "key", "inner", nb)
 
         def msg(t: pa.Table) -> pa.Table:
             return pa.table({"key": t["dst"], "label": t["label"]})
@@ -1069,7 +1066,7 @@ def tile_components(webpages_path: str, zoom: int = 12,
         labels = cand.map_batches(add_bucket, batch_format="pyarrow") \
             .groupby("bucket").map_groups(label_merge,
                                           batch_format="pyarrow") \
-            .repartition(n_part).materialize()
+            .materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break

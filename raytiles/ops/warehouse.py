@@ -8,13 +8,13 @@ Every query follows the engine's standing scale rules (SURVEY §2.2):
 
 - lineitem NEVER reaches a shuffle at raw cardinality: per-batch Arrow
   hash-aggregate partials first, then ONE bounded splitmix-bucket
-  groupby (or a bounded-partition hash join);
+  exchange — a groupby, or an equi-join on the same exchange
+  (util.join / util.cogroup), never Ray's actor hash join;
 - dimension tables (part, supplier, customer, nation, region) are
   driver-read, folded to flat numpy arrays, `ray.put` ONCE and looked
   up via searchsorted inside worker-cached TASK functions
-  (util.cached_ref) — never shuffled, never
-  re-shipped per batch, and never holding actor CPU slots that would
-  starve the hash joins' aggregator actors on small clusters;
+  (util.cached_ref) — never shuffled, never re-shipped per batch, and
+  never holding actor CPU slots the exchange's tasks need;
 - money is quantized to INT64 cents PER ROW (half-away-from-zero,
   DuckDB round() semantics) before any wide sum, so the aggregates are
   order-free integer sums and the DuckDB oracle twins in
@@ -38,14 +38,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, cached_ref, derive_buckets, pair_key
-from .dedup import _join_partitions
+from ..util import (bucket_of, cached_ref, cogroup, derive_buckets, join,
+                    pair_key)
 from .relational import _fq, _p
 
 
 # dim lookups ride plain TASK functions via the shared worker cache
-# (util.cached_ref) instead of actor pools: actor pools + hash-join
-# aggregator actors deadlocked at num_cpus=4 (each needs a CPU slot).
+# (util.cached_ref) instead of actor pools: pool actors hold CPU slots
+# (actor pools + Ray's hash-join aggregator actors deadlocked at
+# num_cpus=4).
 _cached_ref = cached_ref
 
 
@@ -103,9 +104,10 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     Plan: customer is a DIMENSION (segment custkey set broadcast into
     the orders scan); lineitem collapses to per-order int-cent partials
-    before its ONE bounded-bucket shuffle; the two order-keyed sides
-    meet in a bounded-partition hash join; top-k is per-block partial
-    top-k then a single-block final — no global sort."""
+    per batch; the partials and the orders meet in ONE bounded-bucket
+    exchange (util.cogroup), where each bucket merges its partials
+    per order and joins them to its orders; top-k is per-block
+    partial top-k then a single-block final — no global sort."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     d_us = _ts_us(date)
 
@@ -134,29 +136,22 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
                        * (1.0 - b["l_discount"].to_numpy()[m]))
         t = pa.table({"l_orderkey": ok_key, "cents": cents})
         g = pa.TableGroupBy(t, "l_orderkey").aggregate([("cents", "sum")])
-        g = g.rename_columns(["l_orderkey", "cents"])
-        return g.append_column(
-            "bucket", pa.array(bucket_of(g["l_orderkey"].to_numpy(), n_buckets)))
+        return g.rename_columns(["l_orderkey", "cents"])
 
-    def li_merge(g: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(g.select(["l_orderkey", "cents"]), "l_orderkey") \
-            .aggregate([("cents", "sum")])
-        return t.rename_columns(["l_orderkey", "cents"])
+    def merge_join(l: pa.Table, o: pa.Table) -> pa.Table:
+        t = pa.TableGroupBy(l, "l_orderkey").aggregate([("cents", "sum")])
+        return t.rename_columns(["l_orderkey", "cents"]).join(
+            o, keys="l_orderkey", right_keys="o_orderkey", join_type="inner")
 
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]) \
-        .map_batches(li_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(li_merge, batch_format="pyarrow")
+        .map_batches(li_partial, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
         .map_batches(ord_filter, batch_format="pyarrow")
-
-    n_part = _join_partitions()
-    j = li.repartition(n_part).join(
-        orders.repartition(n_part), "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",))
+    j = cogroup(li, orders, "l_orderkey", "o_orderkey", merge_join, n_buckets)
 
     def topk_block(b: pa.Table) -> pa.Table:
         cents = b["cents"].to_numpy(zero_copy_only=False)
@@ -192,8 +187,9 @@ def ship_volume(sf_dir: str, region_a: str = "ASIA",
 
     supplier->region and customer->region are broadcast dims; lineitem
     collapses per batch to (orderkey, supp_region, year) int-cent
-    partials; ONE bounded hash join against orders attaches custkey;
-    the final group domain is 2 x 2 x years — merged in one block."""
+    partials; ONE bucket-exchange join (util.join) against orders
+    attaches custkey; the final group domain is 2 x 2 x years —
+    merged in one block."""
     nr = _nation_region(sf_dir)
     nk = nr[nr["r_name"].isin([region_a, region_b])]
     nat_keys, nat_flag = _sorted_pair(
@@ -232,11 +228,8 @@ def ship_volume(sf_dir: str, region_a: str = "ASIA",
         .map_batches(li_partial, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_custkey"])
-
-    n_part = _join_partitions()
-    j = li.repartition(n_part).join(
-        orders.repartition(n_part), "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",))
+    j = join(li, orders, "l_orderkey", "o_orderkey", "inner",
+             derive_buckets(_p(sf_dir, "lineitem"), 256))
 
     names = {False: region_a, True: region_b}
 
@@ -328,11 +321,8 @@ def market_share(sf_dir: str, region: str = "ASIA",
         .map_batches(li_partial, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    n_part = _join_partitions()
-    j = li.repartition(n_part).join(
-        orders.repartition(n_part), "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",))
+    j = join(li, orders, "l_orderkey", "o_orderkey", "inner",
+             derive_buckets(_p(sf_dir, "lineitem"), 256))
 
     def year_partial(b: pa.Table) -> pa.Table:
         _, _, _, ck_s = _cached_ref(dim_ref)
@@ -718,7 +708,8 @@ def big_orders(sf_dir: str, qty_thresh: int = 150) -> ray.data.Dataset:
     - small side (<= BIG_ORDERS_BROADCAST_ROWS): the (orderkey ->
       sum_qty) map broadcasts via ray.put and orders filters
       shuffle-free — no join actors, no repartition;
-    - otherwise: the bounded-partition hash join (unbounded-safe).
+    - otherwise: an equi-join on the bucket exchange (util.join;
+      unbounded-safe).
     Either plan produces identical rows; customer is a broadcast dim
     in both."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
@@ -786,10 +777,8 @@ def big_orders(sf_dir: str, qty_thresh: int = 150) -> ray.data.Dataset:
 
         return orders.map_batches(bcast_filter, batch_format="pyarrow")
 
-    n_part = _join_partitions()
-    j = qualifying.repartition(n_part).join(
-        orders.repartition(n_part), "inner", n_part,
-        on=("l_orderkey",), right_on=("o_orderkey",))
+    j = join(qualifying, orders, "l_orderkey", "o_orderkey", "inner",
+             n_buckets)
 
     def finalize(b: pa.Table) -> pa.Table:
         return emit(

@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, derive_buckets
+from ..util import bucket_of, cogroup, derive_buckets
 from .text import NON_TOKEN_RE, _tokens_table
 
 HOST_RE = r"^https?://(?P<host>[^/]+)/"
@@ -140,46 +140,27 @@ def customers_without_big_orders(
     Q22 shape), both sides big. The probe side prunes at the read
     (row filter pushed to the parquet scan) and collapses each batch
     to its DISTINCT o_custkey values (np.unique) before the shuffle;
-    both sides land in the same bounded splitmix(custkey) bucket, so
-    the per-bucket finalizer sees every order key that could match its
-    customers and one vectorized np.isin emits the non-matches.
+    both sides land in the same bounded splitmix(custkey) bucket
+    (``util.cogroup``), so the per-bucket finalizer sees every order
+    key that could match its customers and one vectorized np.isin
+    emits the non-matches.
     Shuffle payload: distinct keys per batch, never the order rows."""
     n_buckets = derive_buckets(f"{sf_dir}/customer.parquet", 256)
 
-    def cust_tag(b: pa.Table) -> pa.Table:
-        key = b["c_custkey"].to_numpy()
-        return pa.table({
-            "custkey": key.astype(np.int64),
-            "c_acctbal": b["c_acctbal"],
-            "side": np.zeros(len(key), np.int8),
-            "bucket": bucket_of(key, n_buckets)})
-
     def orders_partial(b: pa.Table) -> pa.Table:
-        key = np.unique(b["o_custkey"].to_numpy()).astype(np.int64)
-        return pa.table({
-            "custkey": key,
-            "c_acctbal": np.full(len(key), np.nan),
-            "side": np.ones(len(key), np.int8),
-            "bucket": bucket_of(key, n_buckets)})
+        return pa.table({"o_custkey": np.unique(b["o_custkey"].to_numpy())})
 
-    def anti(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        key = g["custkey"].to_numpy()
-        li = side == 0
-        miss = li & ~np.isin(key, key[~li])
-        return pa.table({
-            "c_custkey": key[miss],
-            "c_acctbal": g["c_acctbal"].to_numpy(zero_copy_only=False)[miss]})
+    def anti(c: pa.Table, o: pa.Table) -> pa.Table:
+        miss = ~np.isin(c["c_custkey"].to_numpy(), o["o_custkey"].to_numpy())
+        return c.filter(pa.array(miss))
 
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_acctbal"]) \
-        .map_batches(cust_tag, batch_format="pyarrow")
+                                 columns=["c_custkey", "c_acctbal"])
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"],
         filter=pc.field("o_totalprice") > threshold) \
         .map_batches(orders_partial, batch_format="pyarrow")
-    return cust.union(orders).groupby("bucket") \
-        .map_groups(anti, batch_format="pyarrow")
+    return cogroup(cust, orders, "c_custkey", "o_custkey", anti, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +574,8 @@ def curation_manifest(sf_dir: str, score_min: float = 0.5,
     survivor list is corpus-sized); per-doc score/lang/weight are
     shuffle-free batch kernels (the mixture-weight table is
     result-sized and broadcasts via ray.put); ONE bounded
-    splitmix(doc_id) bucket groupby joins flags to survivorship.
+    splitmix(doc_id) bucket co-group (``util.cogroup``) joins flags to
+    survivorship.
     Thresholds compare floor-quantized values on both sides, so the
     keep boundary is bit-exact vs the SQL twin."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 512)
@@ -604,15 +586,6 @@ def curation_manifest(sf_dir: str, score_min: float = 0.5,
 
     w = temperature_weights(sf_dir)
     wref = ray.put(dict(zip(w["source"], w["weight"])))
-
-    def surv_rows(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": ids, "side": np.ones(ids.size, np.int8),
-            "score": np.zeros(ids.size, np.float64),
-            "lang_pred": np.full(ids.size, "", dtype=object),
-            "weight": np.zeros(ids.size, np.float64),
-            "bucket": bucket_of(ids.astype(np.uint64), n_buckets)})
 
     def doc_rows(b: pa.Table) -> pa.Table:
         wmap = ray.get(wref)
@@ -639,38 +612,32 @@ def curation_manifest(sf_dir: str, score_min: float = 0.5,
                                  np.where(fr > 0, "fr", "und")))
         src = b["source"].to_pylist()
         weight = np.array([wmap[s] for s in src], dtype=np.float64)
-        ids = b["doc_id"].to_numpy().astype(np.int64)
         return pa.table({
-            "doc_id": ids, "side": np.zeros(ids.size, np.int8),
+            "doc_id": b["doc_id"].to_numpy().astype(np.int64),
             "score": score, "lang_pred": lang.astype(object),
-            "weight": weight,
-            "bucket": bucket_of(ids.astype(np.uint64), n_buckets)})
+            "weight": weight})
 
-    def decide(g: pa.Table) -> pa.Table:
-        side = g["side"].to_numpy()
-        ids = g["doc_id"].to_numpy()
-        surv_ids = np.sort(ids[side == 1])
-        dm = side == 0
-        d_ids = ids[dm]
+    def decide(d: pa.Table, surv: pa.Table) -> pa.Table:
+        surv_ids = np.sort(surv["doc_id"].to_numpy())
+        d_ids = d["doc_id"].to_numpy()
         is_surv = np.zeros(len(d_ids), bool)
         if len(surv_ids):
             pos = np.clip(np.searchsorted(surv_ids, d_ids),
                           0, len(surv_ids) - 1)
             is_surv = surv_ids[pos] == d_ids
-        lang_pred = g["lang_pred"].to_numpy(zero_copy_only=False)[dm]
-        keep = (is_surv & (g["score"].to_numpy()[dm] >= score_min)
+        lang_pred = d["lang_pred"].to_numpy(zero_copy_only=False)
+        keep = (is_surv & (d["score"].to_numpy() >= score_min)
                 & (lang_pred == lang_keep))
         return pa.table({
             "doc_id": pa.array(d_ids.astype(np.int64)),
             "is_survivor": pa.array(is_surv.astype(np.int64)),
             "keep": pa.array(keep.astype(np.int64)),
             "weight": pa.array(
-                np.where(keep, g["weight"].to_numpy()[dm], 0.0))})
+                np.where(keep, d["weight"].to_numpy(), 0.0))})
 
-    surv = exact_dedup(sf_dir).map_batches(surv_rows, batch_format="pyarrow")
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "source"]) \
         .map_batches(doc_rows, batch_format="pyarrow")
-    return docs.union(surv).groupby("bucket") \
-        .map_groups(decide, batch_format="pyarrow")
+    surv = exact_dedup(sf_dir).select_columns(["doc_id"])
+    return cogroup(docs, surv, "doc_id", "doc_id", decide, n_buckets)

@@ -6,7 +6,8 @@ bounded domain and vectorize within the group. This module is the one
 place that mixing lives so every operator derives buckets the same way
 (never Python hash(), which is salted per process), and the one place
 that sizes layouts: ``layout`` for read blocks and reducers,
-``derive_buckets`` for every op's bucket count.
+``derive_buckets`` for every op's bucket count. ``cogroup`` and
+``join`` are the one path every two-input equi-join takes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 
@@ -135,6 +138,93 @@ def sum_by_key(key: np.ndarray, *vals: np.ndarray):
     starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
     return (k[starts],) + tuple(np.add.reduceat(v[order], starts)
                                 for v in vals)
+
+
+def cogroup(left, right, left_key: str, right_key: str, fn,
+            n_buckets: int):
+    """Co-group two datasets on an integer equi-key: both sides are
+    bucketed by ``bucket_of(key, n_buckets)`` and exchanged together
+    by ONE ``groupby("bucket").map_groups``, which calls
+    ``fn(l, r) -> pa.Table`` once per bucket with each side's rows in
+    that bucket, as that side's own typed columns. Either side may
+    have zero rows in a bucket.
+
+    - The union that feeds the exchange needs one schema, or Ray warns
+      and null-fills: each side's columns travel prefixed ("l:" /
+      "r:") next to typed nulls for the other side's, plus an int8
+      side tag. Each side is materialized first, so its schema comes
+      from block metadata instead of a second run of its plan; the
+      exchange is a barrier anyway.
+    - Each side materializes in input order (``preserve_order``, set
+      on that dataset's own context), so a bucket's rows reach ``fn``
+      in the same order every run. A float merge inside ``fn``
+      (per-order revenue partials) would otherwise follow task
+      completion order, which moved a half-cent tie of
+      ``order_revenue`` between a cold and a warm run.
+    - Each side's blocks are then merged, rows in order, to the count
+      ``layout`` gives its size. The sort exchange costs ~M x R
+      objects for M input blocks, and exchange outputs fed back in
+      (``dup_clusters``' label rounds) would otherwise add blocks
+      every round: at sf0.1 that doubled ``dup_clusters``' time.
+    - No aggregator actors, nothing sized to the cluster."""
+    (left, ls), (right, rs) = _coalesced(left), _coalesced(right)
+    union_schema = pa.schema(
+        [pa.field("l:" + f.name, f.type) for f in ls]
+        + [pa.field("r:" + f.name, f.type) for f in rs]
+        + [pa.field("side", pa.int8()), pa.field("bucket", pa.int64())])
+
+    def tagger(side: int, key: str):
+        def tag(b: pa.Table) -> pa.Table:
+            n = b.num_rows
+            own = [b[f.name] for f in (ls, rs)[side]]
+            nulls = [pa.nulls(n, f.type) for f in (ls, rs)[1 - side]]
+            cols = own + nulls if side == 0 else nulls + own
+            return pa.Table.from_arrays(
+                cols + [pa.array(np.full(n, side, np.int8)),
+                        pa.array(bucket_of(b[key].to_numpy(), n_buckets))],
+                schema=union_schema)
+        return tag
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        is_left = pc.equal(g["side"], 0)
+        lt = g.filter(is_left)
+        rt = g.filter(pc.invert(is_left))
+        return fn(
+            pa.Table.from_arrays([lt["l:" + f.name] for f in ls], schema=ls),
+            pa.Table.from_arrays([rt["r:" + f.name] for f in rs], schema=rs))
+
+    return left.map_batches(tagger(0, left_key), batch_format="pyarrow") \
+        .union(right.map_batches(tagger(1, right_key), batch_format="pyarrow")) \
+        .groupby("bucket").map_groups(per_bucket, batch_format="pyarrow")
+
+
+def _coalesced(ds):
+    """(``ds`` materialized in input order and merged to as many blocks
+    as ``layout`` gives its in-memory size, its Arrow schema). The
+    schema comes from the first materialization: an empty side's
+    merged block carries none. A dataset with no blocks at all has no
+    schema either, and reaches ``cogroup``'s fn as zero columns."""
+    ds.context.execution_options.preserve_order = True
+    ds = ds.materialize()
+    s = ds.schema()
+    schema = s.base_schema if s is not None else pa.schema([])
+    nbytes = ds.size_bytes()
+    if nbytes:
+        ds = ds.repartition(layout(nbytes)[0]).materialize()
+    return ds, schema
+
+
+def join(left, right, on: str, right_on: str, join_type: str,
+         n_buckets: int):
+    """Equi-join of two datasets on the bucket exchange: ``cogroup``
+    with each bucket's rows joined by Arrow (``join_type`` is Arrow's
+    verb: "inner", "left outer", "full outer", ...). The same Arrow
+    call Ray's join operator makes per partition, so the rows are
+    the ones ``Dataset.join`` gives, without its aggregator actors."""
+    def fn(l, r):
+        return l.join(r, keys=on, right_keys=right_on, join_type=join_type)
+
+    return cogroup(left, right, on, right_on, fn, n_buckets)
 
 
 def pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:

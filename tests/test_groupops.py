@@ -132,9 +132,9 @@ def test_doc_top_terms_rank_rule():
         assert list(sub["tf"]) == [c[t] for t in exp]
 
 
-def test_order_revenue_matches_pandas_join():
-    from raytiles.ops.relational import order_revenue
-    df = order_revenue(SF_SMOKE).to_pandas()
+def _order_revenue_expected() -> pd.DataFrame:
+    """order_revenue(SF_SMOKE) as a single-process pandas join, sorted
+    by o_orderkey."""
     li = pq.read_table(f"{SF_SMOKE}/lineitem.parquet",
                        columns=["l_orderkey", "l_extendedprice",
                                 "l_discount"]).to_pandas()
@@ -144,9 +144,15 @@ def test_order_revenue_matches_pandas_join():
         revenue=("rev", "sum"), n_items=("rev", "size")).reset_index()
     exp = agg.merge(orders[orders["o_orderstatus"] == "O"],
                     left_on="l_orderkey", right_on="o_orderkey")
-    assert len(df) == len(exp)
+    return exp.sort_values("o_orderkey").reset_index(drop=True)
+
+
+def test_order_revenue_matches_pandas_join():
+    from raytiles.ops.relational import order_revenue
+    df = order_revenue(SF_SMOKE).to_pandas()
+    want = _order_revenue_expected()
+    assert len(df) == len(want)
     got = df.sort_values("o_orderkey").reset_index(drop=True)
-    want = exp.sort_values("o_orderkey").reset_index(drop=True)
     assert np.array_equal(got["o_orderkey"], want["o_orderkey"])
     assert np.array_equal(got["n_items"], want["n_items"])
     assert np.allclose(got["revenue"], want["revenue"].round(2), atol=0.005)

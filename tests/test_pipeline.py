@@ -839,6 +839,26 @@ def test_hive_partition_sink_prunes_and_roundtrips(tmp_path):
     assert "lang" not in pq.read_schema(part_file).names
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_roundtrip_query_leaves_no_temp_dir():
+    """The sink round-trip queries write into a temp dir and must
+    remove it: the returned Dataset is materialized, so it no longer
+    reads there. Before, every run left its shards behind (~118 MB per
+    wds run at sf0.01)."""
+    import glob
+    import os
+    import tempfile
+
+    import __ray_entry__ as entry
+    from tests.conftest import SF_SMOKE
+
+    pattern = os.path.join(tempfile.gettempdir(), "raytiles_jsonl_*")
+    before = set(glob.glob(pattern))
+    df = entry.queries()["jsonl_roundtrip"](SF_SMOKE).to_pandas()
+    assert len(df) > 0
+    assert set(glob.glob(pattern)) - before == set()
+
+
 def test_jsonl_gz_roundtrip_matches_plain(tmp_path):
     """Gzipped JSONL shards round-trip identically to plain JSONL and
     are genuinely compressed on disk."""

@@ -187,6 +187,47 @@ def test_no_relative_imports_in_worker_code():
     assert not offenders, offenders
 
 
+def test_one_join_path():
+    """Convention guard (CLAUDE.md): every two-input equi-join runs on
+    the bucket exchange (util.join / util.cogroup). Ray's
+    ``Dataset.join`` parks aggregator actors on CPU slots and
+    deadlocked at num_cpus=2, and its partition count was read off the
+    cluster. Fails on any reference to ``cluster_resources`` or
+    ``_join_partitions`` under raytiles/, and on any ``.join(`` call
+    that passes a join-type string positionally, a Ray-spelled join
+    type (``left_outer``, ...), or a ``num_partitions`` argument —
+    the shapes of a ``Dataset.join`` call. Arrow's per-bucket
+    ``Table.join(..., join_type="inner")`` keyword form stays legal:
+    it is what util.join runs inside each bucket."""
+    import ast
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent / "raytiles"
+    verbs = {"inner", "left outer", "right outer", "full outer",
+             "left semi", "right semi", "left anti", "right anti"}
+    ray_verbs = {v.replace(" ", "_") for v in verbs if " " in v}
+    offenders = []
+    for p in sorted(root.rglob("*.py")):
+        rel = str(p.relative_to(root))
+        for node in ast.walk(ast.parse(p.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                or getattr(node, "name", None)
+            if name in ("cluster_resources", "_join_partitions"):
+                offenders.append(f"{rel}:{getattr(node, 'lineno', '?')} {name}")
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "join"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            pos = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            jt = kw.get("join_type")
+            jt = jt.value if isinstance(jt, ast.Constant) else None
+            if ("num_partitions" in kw
+                    or any(v in verbs | ray_verbs for v in pos)
+                    or jt in ray_verbs):
+                offenders.append(f"{rel}:{node.lineno} .join(")
+    assert not offenders, offenders
+
+
 def test_derive_buckets_scaling(tmp_path, monkeypatch):
     """Bucket-count derivation: floor at small inputs (historical
     layouts unchanged), linear in input bytes past the floor, capped,

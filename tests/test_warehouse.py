@@ -123,3 +123,20 @@ def test_top_supplier_is_argmax_with_all_ties():
     df = top_supplier(SF_SMOKE).to_pandas()
     assert len(df) >= 1
     assert df["total_cents"].nunique() == 1
+
+
+def test_big_orders_shuffle_branch_matches_broadcast(monkeypatch):
+    """big_orders joins on the bucket exchange only when more than
+    BIG_ORDERS_BROADCAST_ROWS orders qualify, which no test tier
+    reaches; forcing the threshold to 0 must give the broadcast
+    branch's frame."""
+    from raytiles.ops import warehouse
+
+    def frame(df):
+        return df.sort_values("o_orderkey").reset_index(drop=True)
+
+    bcast = frame(warehouse.big_orders(SF_SMOKE, 100).to_pandas())
+    monkeypatch.setattr(warehouse, "BIG_ORDERS_BROADCAST_ROWS", 0)
+    shuffled = frame(warehouse.big_orders(SF_SMOKE, 100).to_pandas())
+    assert len(bcast) > 0
+    pd.testing.assert_frame_equal(shuffled, bcast)
