@@ -477,7 +477,7 @@ def important_parts(sf_dir: str, theta_num: int = 8,
         pos, _ = _lookup(pk_s, pkey)
         return pa.table({
             "p_partkey": pa.array(pkey.astype(np.int64)),
-            "p_name": pa.array(pname_s[pos]),
+            "p_name": pa.array(pname_s[pos], pa.string()),
             "revenue_cents": pa.array(cents[keep].astype(np.int64))})
 
     return per_part.map_batches(threshold_filter, batch_format="pyarrow")

@@ -1,7 +1,8 @@
 """Per-partition checkpointing with lineage + metrics: the caller
-(pipeline.job's stage B, one partition per bucket) publishes each
-finished partition with ``write_partition`` and resumes by skipping
-the pids ``finished_partitions`` lists.
+(pipeline.job's stage B, one partition per stage-A bucket; the bucket
+count follows the input's size unless the job is given one) publishes
+each finished partition with ``write_partition`` and resumes by
+skipping the pids ``finished_partitions`` lists.
 
 Layout (one directory per run):
 

@@ -4,7 +4,9 @@ Two checkpointed stages, so a killed job resumes without recomputing
 completed work:
 
   Stage A  parse+assign: webpages -> mention assignments, written as
-           hash(z, x>>4, y>>4) % B bucket directories. One Ray map
+           hash(z, x>>4, y>>4) % B bucket directories, where B is
+           util.layout's reducer count for the input's on-disk size
+           unless the caller passes one. One Ray map
            operator (flagship.mentions: each task reads its own input
            row groups and runs parse -> assign -> bucket), then one
            write. All or nothing: the write is swapped into place,
@@ -34,18 +36,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+from ..util import input_bytes, layout
 from .checkpoint import finished_partitions, write_partition
 from .encode_stage import FastPointEncoder
 from .flagship import input_files, mentions
 from .stages import merge_tile_partials, pack_tile_partials, tile_bucket
 
-# FIXED on purpose (not derive_buckets): the bucket count IS the
-# checkpoint partition layout — a data-size-derived count would give
-# the same input a different layout across runs and invalidate every
-# manifest on resume. Callers scale it explicitly per deployment; a
-# changed count fails stage A's argument check, which recomputes both
-# stages.
-N_BUCKETS = 64
 COARSE_SHIFT = 4  # stage A buckets by the 16x16-tile coarse cell
 
 
@@ -58,11 +54,17 @@ def _read_marker(path: str) -> dict | None:
 
 
 def stage_a(webpages_path: str, root: str, zoom: int = 12,
-            n_buckets: int = N_BUCKETS) -> str:
-    """parse+assign, output bucketed by the coarse tile key. Skipped
-    when its marker records these same arguments and the same input
-    files (path, size and mtime of each), so an input rewritten in
-    place recomputes."""
+            n_buckets: int | None = None) -> str:
+    """parse+assign, output bucketed by the coarse tile key into
+    ``n_buckets`` checkpoint partitions: by default the reducer count
+    ``mentions`` derives for the same input (``util.layout``), so a
+    small input is not cut into 64 tiny partitions. Skipped when its
+    marker records these same arguments and the same input files
+    (path, size and mtime of each), so an input rewritten in place
+    recomputes; the resolved count is recorded, so a default run
+    resumes a root written with the same count."""
+    if n_buckets is None:
+        n_buckets = layout(input_bytes(webpages_path))[1]
     out_dir = os.path.join(root, "stage_a")
     marker = os.path.join(root, "stage_a.done")
     args = {"webpages_path": webpages_path, "zoom": zoom, "n_buckets": n_buckets,
@@ -124,6 +126,8 @@ def stage_b(root: str) -> dict:
 
 
 def run_job(webpages_path: str, root: str, zoom: int = 12,
-            n_buckets: int = N_BUCKETS) -> dict:
+            n_buckets: int | None = None) -> dict:
+    """Both stages; ``n_buckets`` as in ``stage_a`` (None: sized from
+    the input)."""
     stage_a(webpages_path, root, zoom, n_buckets)
     return stage_b(root)

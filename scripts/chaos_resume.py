@@ -12,10 +12,16 @@ checkpoint with per-partition lineage + metrics"):
    md5(mvt)) equal the uninterrupted run's, tile for tile, and both
    manifests cover all partitions with consistent lineage.
 
+The job's partition count follows its input's size (util.layout: 2 at
+sf0.01, 13 at sf0.1, 64 at sfbig12), so CHAOS_KILL_AFTER must be below
+it: a run whose kill cannot land before the job finishes fails, with a
+message when the uninterrupted run has too few partitions.
+
 Writes one JSON line (the logged artifact) and exits non-zero on any
 mismatch. Usage:
 
-    python scripts/chaos_resume.py [sf_dir] [zoom]
+    CHAOS_KILL_AFTER=4 RAY_GRAFT_CPUS=2 \
+        python scripts/chaos_resume.py [sf_dir] [zoom]
 """
 
 from __future__ import annotations
@@ -117,6 +123,14 @@ def main() -> int:
     t0 = time.time()
     a = _run_job(root_a, kill_after=None)
     t_a = round(time.time() - t0, 1)
+    from raytiles.pipeline.checkpoint import finished_partitions
+    man_a = finished_partitions(os.path.join(root_a, "stage_b"))
+    if len(man_a) <= KILL_AFTER:
+        print(f"chaos_resume: the uninterrupted job has {len(man_a)} "
+              f"partitions, so a kill after CHAOS_KILL_AFTER={KILL_AFTER} "
+              "manifests cannot land before it finishes; lower "
+              "CHAOS_KILL_AFTER or use a larger input", file=sys.stderr)
+        return 1
 
     t0 = time.time()
     k = _run_job(root_b, kill_after=KILL_AFTER)
@@ -136,8 +150,6 @@ def main() -> int:
     n_skipped = int(m.group(1)) if m else -1
     n_a, dig_a = _tiles_digest(root_a)
     n_b, dig_b = _tiles_digest(root_b)
-    from raytiles.pipeline.checkpoint import finished_partitions
-    man_a = finished_partitions(os.path.join(root_a, "stage_b"))
     man_b = finished_partitions(os.path.join(root_b, "stage_b"))
 
     result = {
@@ -162,8 +174,9 @@ def main() -> int:
     print(json.dumps(result))
     ok = (result["tiles_byte_identical"]
           and result["lineage_fingerprints_equal"]
-          and n_manifests_after_kill >= KILL_AFTER
-          and n_skipped >= KILL_AFTER
+          and k["killed_with_n_manifests"] is not None
+          and KILL_AFTER <= n_manifests_after_kill < len(man_a)
+          and n_skipped == n_manifests_after_kill
           and len(man_a) == len(man_b) and n_a == n_b and n_a > 0)
     return 0 if ok else 1
 

@@ -2,10 +2,12 @@
 
     python scripts/tile_job.py [sf_dir] [output_root] [zoom]
 
-Owns its Ray session (guarded init). Resumes from the manifest only
-when output_root holds a run of the same sf_dir and zoom: stage A's
-marker records both (and the bucket count), and any other run there
-is dropped and recomputed.
+Owns its Ray session (guarded init). The bucket count (= checkpoint
+partitions) follows the input's on-disk size (util.layout's reducer
+count). Resumes from the manifest only when output_root holds a run of
+the same sf_dir and zoom: stage A's marker records both (and the
+resolved bucket count), and any other run there is dropped and
+recomputed.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Resumable job: end-to-end equivalence with the streaming flagship,
 and kill/resume semantics at the bucket level."""
 
+import json
 import os
 
 import numpy as np
@@ -17,6 +18,11 @@ pytestmark = pytest.mark.usefixtures("ray_session")
 def wp_path():
     from raytiles.pipeline.synth import webpages_path
     return webpages_path("/root/testdata/sf0.001")
+
+
+def _sorted_tiles(root: str):
+    return cp.read_output(os.path.join(root, "stage_b")).to_pandas() \
+        .sort_values(["z", "x", "y"]).reset_index(drop=True)
 
 
 def test_job_matches_streaming_flagship(ray_session, wp_path, tmp_path):
@@ -43,8 +49,7 @@ def test_job_matches_streaming_flagship(ray_session, wp_path, tmp_path):
     for pid in recs:
         path = os.path.join(root, "stage_b", f"partition={pid}", "data.parquet")
         assert pq.read_schema(path).remove_metadata() == want_schema
-    got = cp.read_output(os.path.join(root, "stage_b")).to_pandas() \
-        .sort_values(["z", "x", "y"]).reset_index(drop=True)
+    got = _sorted_tiles(root)
     want = want_ds.to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
     assert len(got) == len(want)
     assert np.array_equal(got["x"].to_numpy(), want["x"].to_numpy())
@@ -88,6 +93,34 @@ def test_stage_a_reruns_on_changed_arguments(ray_session, wp_path, tmp_path):
     assert all(rec["rows_in"] > 0 for rec in recs.values())
     assert set(cp.read_output(os.path.join(root, "stage_b"))
                .to_pandas()["z"]) == {12}
+
+
+def test_default_bucket_count_follows_input(ray_session, wp_path, tmp_path,
+                                            monkeypatch):
+    """With no count given, stage A buckets by util.layout's reducer
+    count for the input (several here: the driver's blocks are 64 KiB),
+    its marker records that count, and the tiles equal an explicit
+    16-bucket run's; the default resumes, an explicit 16 recomputes."""
+    from raytiles import util
+    from raytiles.pipeline.job import run_job
+    monkeypatch.setattr(util, "MIN_BLOCK_BYTES", 64 << 10)
+    want = util.layout(util.input_bytes(wp_path))[1]
+    assert 1 < want < 16
+    root = str(tmp_path / "job")
+    summary = run_job(wp_path, root, 12)
+    with open(os.path.join(root, "stage_a.done")) as fh:
+        assert json.load(fh)["n_buckets"] == want
+    assert 0 < summary["partitions"] <= want
+    tiles = _sorted_tiles(root)
+    assert len(tiles) == summary["tiles"]
+    assert run_job(wp_path, root, 12)["computed"] == 0
+
+    fixed = run_job(wp_path, root, 12, n_buckets=16)
+    assert fixed["skipped"] == 0 and fixed["computed"] == fixed["partitions"]
+    assert fixed["partitions"] > summary["partitions"]
+    got = _sorted_tiles(root)
+    assert got[["z", "x", "y"]].equals(tiles[["z", "x", "y"]])
+    assert (got["mvt"] == tiles["mvt"]).all()
 
 
 def test_stage_a_reruns_on_rewritten_input(ray_session, tmp_path):

@@ -63,6 +63,18 @@ def test_important_parts_integer_threshold():
         assert got[k] == int(per[k])
 
 
+def test_important_parts_empty_result_is_typed():
+    """A threshold no part passes leaves every batch empty; p_name
+    must still be string, not the null type of an empty object array."""
+    import pyarrow as pa
+    import ray
+    from raytiles.ops.warehouse import important_parts
+    ds = important_parts(SF_SMOKE, theta_num=10000, theta_den=10000)
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert t.num_rows == 0
+    assert t.schema.field("p_name").type == pa.string()
+
+
 def test_min_cost_supplier_argmin_tiebreak():
     from raytiles.ops.warehouse import min_cost_supplier
     df = min_cost_supplier(SF_SMOKE).to_pandas()
