@@ -302,7 +302,11 @@ def lsh_neardup_pairs(sf_dir: str, threshold: float = 0.90,
             "vec_id": pa.array(first["vec_id"].to_numpy() + 1_000_000, pa.int64()),
             "embedding": pa.array(list(pert), pa.list_(pa.float64())),
         })
-        ds = ds.union(ray.data.from_arrow(planted))
+        # widen the stored list<float> side to the planted rows' schema
+        # (float32 -> float64 is exact; Bucketize stacks float64 anyway)
+        schema = planted.schema
+        ds = ds.map_batches(lambda t: t.cast(schema), batch_format="pyarrow") \
+            .union(ray.data.from_arrow(planted))
 
     class Bucketize:
         def __init__(self, ref):

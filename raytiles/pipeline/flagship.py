@@ -6,7 +6,7 @@ caller owns the Ray session (never ray.init here — driver contract).
 ``mentions`` is the map side of every pipeline over a parquet webpages
 table (the flagship, the job's stage A, the tile families and the
 spatial/raster ops): one Ray operator whose tasks read their own row
-groups and run prefilter -> parse -> assign -> the caller's per-block
+groups and run parse -> assign -> the caller's per-block
 step. ``geoparse`` runs the same parse kernel over Datasets that other
 sources read (jsonl, csv, warc, ...).
 """
@@ -51,18 +51,15 @@ def read_webpages(path: str) -> ray.data.Dataset:
 
 def _parse_docs(parser: GeoParser, docs: pa.Table) -> pa.Table:
     """The parse kernel: documents (url, text) -> exploded mention rows
-    (url, mention_idx, lon, lat). The candidate prefilter runs
-    pc.match_substring_regex on the zero-copy column, and the master
-    regex runs over the filtered column's raw UTF-8 buffer
-    (GeoParser.parse_arrow): no Python string ever materializes for
-    text, cutting allocator and cache pressure that compounds at high
-    worker counts."""
-    sub = docs.filter(pc.match_substring_regex(docs["text"], parser.prefilter))
-    if sub.num_rows == 0:
+    (url, mention_idx, lon, lat). ``GeoParser.parse_arrow`` scans the
+    whole text column's raw UTF-8 buffers in one vectorized pass, with
+    no Python strings, and each mention takes its url from ``docs`` by
+    row position."""
+    row_pos, mention_idx, lat, lon = parser.parse_arrow(docs["text"])
+    if row_pos.size == 0:
         return MENTION_SCHEMA.empty_table()
-    row_pos, mention_idx, lat, lon = parser.parse_arrow(sub["text"])
     return pa.table({
-        "url": sub["url"].take(pa.array(row_pos)),
+        "url": docs["url"].take(pa.array(row_pos)),
         "mention_idx": pa.array(mention_idx, pa.int32()),
         "lon": pa.array(lon, pa.float64()),
         "lat": pa.array(lat, pa.float64()),
@@ -161,7 +158,7 @@ def mentions(path: str, zoom: int | None = None, *, with_cells: bool = False,
              ) -> tuple[ray.data.Dataset, int]:
     """The map side of every parquet-webpages pipeline as ONE Ray
     operator: each task reads its own group of the input's row groups,
-    then runs prefilter -> parse -> ``TileAssigner(zoom)`` (when
+    then runs parse -> ``TileAssigner(zoom)`` (when
     ``zoom`` is set) -> ``then`` (when set, e.g. pack_tile_partials)
     over the whole group at once. Returns the Dataset and
     ``util.layout``'s reducer count for the same input, so a

@@ -9,10 +9,10 @@ Stage graph (flagship, see pipeline.flagship):
     -> map_batches(read_parse,                 [flagship.mentions: ONE
                    batch_size=None)             task per group reads url +
                                                 text with pyarrow, then
-                                                prefilter -> parse ->
-                                                TileAssigner -> pack over
-                                                the whole group; fat rows
-                                                chunked at 512]
+                                                parse -> TileAssigner ->
+                                                pack over the whole
+                                                group; fat rows chunked
+                                                at 512]
     -> sort(bucket, known boundaries)          [the ONE exchange, bounded
                                                 1024-key domain, 1..64
                                                 reducers from input size]

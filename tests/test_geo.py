@@ -2,7 +2,7 @@
 grammars + decoy rejection, R-tree vs brute force, PIP."""
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pytest
 
 from raytiles.geo import tilemath as tm
@@ -55,9 +55,12 @@ def test_cell_hierarchy():
     assert (ix < 2 ** 10).all() and (iy < 2 ** 9).all()
 
 
+def _parse(texts):
+    return GeoParser().parse_arrow(pa.array(texts, pa.string()))
+
+
 def test_geoparser_grammars():
-    p = GeoParser()
-    texts = pd.Series([
+    row, mi, lat, lon = _parse([
         "city located at 37.7749, -122.4194 downtown",
         "point (lat 51.5074, lon -0.1278) here",
         "at 40.7128N 74.0060W corner",
@@ -65,24 +68,21 @@ def test_geoparser_grammars():
         "no geo price $12.99 version 3.25 on 12.05.2024 rated 4.5",
         "",
     ])
-    out = p.parse_series(texts)
-    got = out.groupby("row_pos").size().to_dict()
-    assert got == {0: 1, 1: 1, 2: 1, 3: 2}
-    r0 = out[out.row_pos == 0].iloc[0]
-    assert r0.lat == 37.7749 and r0.lon == -122.4194
-    r2 = out[out.row_pos == 2].iloc[0]
-    assert r2.lat == 40.7128 and r2.lon == -74.0060
-    r3 = out[out.row_pos == 3]
-    assert r3.mention_idx.tolist() == [0, 1]
-    assert r3.iloc[1].lat == -33.8688
+    assert row.tolist() == [0, 1, 2, 3, 3]
+    assert (row.dtype, mi.dtype, lat.dtype, lon.dtype) == \
+        (np.int64, np.int32, np.float64, np.float64)
+    assert (lat[0], lon[0]) == (37.7749, -122.4194)
+    assert (lat[1], lon[1]) == (51.5074, -0.1278)
+    assert (lat[2], lon[2]) == (40.7128, -74.0060)
+    assert mi[3:].tolist() == [0, 1]
+    assert lat[4] == -33.8688
 
 
 def test_geoparser_arrow_large_string_and_sliced():
     """parse_arrow must give identical output for string, large_string
     (int64 offsets — pyarrow promotes for >2GB data) and sliced inputs;
-    the raw-buffer walk previously reinterpreted large_string offsets
-    as int32 and silently misattributed mentions."""
-    import pyarrow as pa
+    a raw-buffer walk that reinterprets large_string offsets as int32
+    silently misattributes mentions."""
     p = GeoParser()
     texts = ["pad no geo here", "city located at 37.7749, -122.4194 x",
              "(lat 51.5074, lon -0.1278)", "nothing",
@@ -102,67 +102,114 @@ def test_geoparser_arrow_large_string_and_sliced():
     assert expect[0].tolist() == [1, 2, 4, 4]
 
 
-def test_geoparser_re2_matches_python_scan():
-    """Property: the RE2 round-loop (parse_arrow) must be byte-identical
-    to the Python-finditer reference (_py_scan_arrow + filter) on random
-    mixed streams, including docs deep enough to hit the straggler
-    fallback (> MAX_RE2_ROUNDS mentions)."""
-    import pyarrow as pa
-    from raytiles.geo.parse import MAX_LAT, MAX_RE2_ROUNDS
+_GLUE = ["", "", " ", "7", "42", "-", "é", ", "]
+_MUTATE = list("0123456789.-, NSEW()l") + ["é"]
+
+
+def _numeral(rng):
+    """0-5 integer digits, 3-5 decimals, maybe signed."""
+    def digits(lo, hi):
+        return "".join(map(str, rng.integers(0, 10, int(rng.integers(lo, hi)))))
+    return "-" * int(rng.random() < 0.3) + digits(0, 6) + "." + digits(3, 6)
+
+
+def _mention(rng):
+    """A mention in one of the three grammars, with in- or out-of-range
+    coordinates or a near-miss numeral; 40% get one byte mutated."""
+    if rng.random() < 0.5:
+        a, b = f"{rng.uniform(-95, 95):.4f}", f"{rng.uniform(-190, 190):.4f}"
+        c, d = f"{rng.uniform(0, 95):.4f}", f"{rng.uniform(0, 190):.4f}"
+    else:
+        a, b = _numeral(rng), _numeral(rng)
+        c, d = _numeral(rng).lstrip("-"), _numeral(rng).lstrip("-")
+    s = [f"located at {a}, {b}", f"(lat {a}, lon {b})",
+         f"{c}{'NS'[int(rng.integers(0, 2))]} {d}{'EW'[int(rng.integers(0, 2))]}"
+         ][int(rng.integers(0, 3))]
+    if rng.random() < 0.4:
+        i = int(rng.integers(0, len(s)))
+        s = s[:i] + _MUTATE[int(rng.integers(0, len(_MUTATE)))] + s[i + 1:]
+    return s
+
+
+@pytest.mark.parametrize("seed", [17, 18, 19, 20])
+def test_geoparser_scanner_matches_python_scan(seed, monkeypatch):
+    """Property: parse_arrow's numpy scanner must be byte-identical,
+    dtypes included, to re.finditer of MASTER_RE (_py_scan_arrow, then
+    the range filter and renumbering) on random streams of mentions
+    and near-misses glued together, plus the cases the scanner's
+    offsets make delicate."""
+    from raytiles.geo import parse
     p = GeoParser()
 
     def reference(arr):
-        row, seq, lat, lon = p._py_scan_arrow(arr)
-        keep = (np.abs(lat) <= MAX_LAT) & (np.abs(lon) <= 180.0)
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        row, _, lat, lon = p._py_scan_arrow(arr)
+        keep = (np.abs(lat) <= parse.MAX_LAT) & (np.abs(lon) <= 180.0)
         row = row[keep]
-        lat, lon = lat[keep], lon[keep]
-        run_first = np.zeros(row.size, np.int64)
-        if row.size:
-            ch = np.empty(row.size, bool)
-            ch[0] = True
-            ch[1:] = row[1:] != row[:-1]
-            firsts = np.flatnonzero(ch)
-            run_first = np.repeat(
-                firsts, np.diff(np.concatenate([firsts, [row.size]])))
-        mi = (np.arange(row.size) - run_first).astype(np.int32)
-        return row, mi, lat, lon
+        mi = np.arange(row.size) - np.searchsorted(row, row)
+        return row, mi.astype(np.int32), lat[keep], lon[keep]
 
-    rng = np.random.default_rng(17)
-    frag = ["located at {a:.4f}, {b:.4f}", "(lat {a:.4f}, lon {b:.4f})",
-            "{c:.4f}N {d:.4f}W", "price $12.99 v3.25", "plain filler"]
-    docs = []
-    for i in range(300):
-        n = int(rng.integers(0, 8))
-        parts = [frag[int(rng.integers(0, len(frag)))].format(
-            a=rng.uniform(-95, 95), b=rng.uniform(-190, 190),
-            c=rng.uniform(0, 95), d=rng.uniform(0, 190)) for _ in range(n)]
-        docs.append(" and ".join(parts))
-    # one straggler exceeding the RE2 round budget
-    docs.append(" ".join("located at 37.7749, -122.4194"
-                         for _ in range(MAX_RE2_ROUNDS + 5)))
-    arr = pa.array(docs, pa.string())
-    expect = reference(arr)
-    got = p.parse_arrow(arr)
-    assert expect[0].size > 0
-    for e, g in zip(expect, got):
-        assert np.array_equal(e, g)
+    rng = np.random.default_rng(seed)
+    docs = ["".join(_mention(rng) + _GLUE[int(rng.integers(0, len(_GLUE)))]
+                    for _ in range(int(rng.integers(0, 6))))
+            for _ in range(300)]
+    docs += [
+        # a doc that begins with digits after one that ends in digits:
+        # the integer digits are counted from the doc's own start
+        "the year 1999", "5.1234N 1.0000E", "located at 1.0000, 2.00007",
+        ".1234N 1.0000E",
+        "3.0000S 4.0000W", "located at ", "1.0000, 2.0000", "(lat ",
+        "-1.0000, lon 2.0000)",
+        # a doc that ends inside a mention: it must not run on into the
+        # next doc
+        "located at 1.0000, 2.00", "00 then", "1.0000N 2.0000", "E",
+        # fmt1's longitude runs straight into a fmt3 mention: the regex
+        # resumes after fmt1 and fmt3 starts one digit later
+        "located at 1.0000, 12.34565.1234N 1.0000E",
+        "(lat 1.0000, lon 2.0000)5.1234N 1.0000E",
+        "located at -0.0000, -0.0000 and 00.0000S 0.0000W",
+        " ".join("located at 37.7749, -122.4194" for _ in range(45)),
+        None, "",
+    ]
+    docs[5::40] = [None] * len(docs[5::40])
+    for t in (pa.string(), pa.large_string()):
+        arr = pa.array(docs, t)
+        # nulls whose slots still hold text: those mentions must not count
+        hidden = pa.Array.from_buffers(t, len(arr), [pa.py_buffer(
+            np.packbits(np.arange(len(arr)) % 3 > 0, bitorder="little"))]
+            + arr.buffers()[1:])
+        for variant in (arr, hidden, arr.slice(7, 250), arr.slice(299),
+                        pa.chunked_array([arr.slice(0, 11), arr.slice(11, 0),
+                                          arr.slice(11)]),
+                        pa.chunked_array([arr.slice(i, 3)
+                                          for i in range(0, len(arr), 3)])):
+            expect = reference(variant)
+            assert expect[0].size > 0
+            # the default pieces, then smaller ones: chunks sliced at
+            # doc boundaries and runs of chunks concatenated
+            for piece_bytes in (parse.PIECE_BYTES, 2048, 256):
+                monkeypatch.setattr(parse, "PIECE_BYTES", piece_bytes)
+                got = p.parse_arrow(variant)
+                for e, g in zip(expect, got):
+                    assert e.dtype == g.dtype and e.tobytes() == g.tobytes()
 
 
 def test_geoparser_range_validation():
-    p = GeoParser()
-    out = p.parse_series(pd.Series(["located at 89.0000, 10.0000 then located at 10.0000, 20.0000"]))
+    row, mi, lat, lon = _parse(
+        ["located at 89.0000, 10.0000 then located at 10.0000, 20.0000"])
     # |lat| > 85.05 dropped, survivor renumbered from 0
-    assert len(out) == 1
-    assert out.iloc[0].mention_idx == 0 and out.iloc[0].lat == 10.0
+    assert row.tolist() == [0] and mi.tolist() == [0] and lat.tolist() == [10.0]
 
 
 def test_geoparser_call_shape():
-    p = GeoParser()
-    batch = pd.DataFrame({"url": ["u1", "u2"],
-                          "text": ["located at 1.0000, 2.0000", "nothing"]})
-    out = p(batch)
-    assert list(out.columns) == ["url", "mention_idx", "lon", "lat"]
-    assert out.url.tolist() == ["u1"]
+    from raytiles.pipeline.flagship import MENTION_SCHEMA, _parse_docs
+    docs = pa.table({"url": ["u1", "u2", "u3"],
+                     "text": ["located at 1.0000, 2.0000", "nothing", None]})
+    out = _parse_docs(GeoParser(), docs)
+    assert out.schema == MENTION_SCHEMA
+    assert out["url"].to_pylist() == ["u1"]
+    assert _parse_docs(GeoParser(), docs.slice(1)).schema == MENTION_SCHEMA
 
 
 def test_rtree_matches_bruteforce():

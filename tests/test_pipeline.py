@@ -9,7 +9,7 @@ import pytest
 
 from raytiles.codec.decode import decode_tile
 from raytiles.geo import tilemath as tm
-from raytiles.geo.parse import GeoParser
+from raytiles.geo.parse import MAX_LAT, GeoParser
 from raytiles.pipeline.encode_stage import FastPointEncoder
 from raytiles.pipeline.stages import merge_tile_partials, pack_tile_partials
 from raytiles.pipeline.synth import generate_webpages, webpages_path
@@ -23,12 +23,18 @@ def webpages_500():
 
 def oracle_assignments(table: pa.Table, zoom: int) -> pd.DataFrame:
     """Single-process reference implementation: parse + assign without
-    Ray, used as the oracle for the distributed path."""
-    df = table.to_pandas()
-    parser = GeoParser()
-    mentions = parser(df[["url", "text"]])
-    x, y = tm.lonlat_to_tile(mentions.lon.to_numpy(), mentions.lat.to_numpy(), zoom)
-    lx, ly = tm.lonlat_to_local(mentions.lon.to_numpy(), mentions.lat.to_numpy(), zoom, x, y)
+    Ray, used as the oracle for the distributed path. It parses with
+    re.finditer (GeoParser._py_scan_arrow), not the pipeline's scanner."""
+    text = table["text"].combine_chunks()
+    row, _, lat, lon = GeoParser()._py_scan_arrow(text)
+    keep = (np.abs(lat) <= MAX_LAT) & (np.abs(lon) <= 180.0)
+    row, lat, lon = row[keep], lat[keep], lon[keep]
+    mention_idx = np.arange(row.size) - np.searchsorted(row, row)
+    mentions = pd.DataFrame({
+        "url": table["url"].take(pa.array(row)).to_numpy(zero_copy_only=False),
+        "mention_idx": mention_idx.astype(np.int32), "lon": lon, "lat": lat})
+    x, y = tm.lonlat_to_tile(lon, lat, zoom)
+    lx, ly = tm.lonlat_to_local(lon, lat, zoom, x, y)
     mentions["z"], mentions["x"], mentions["y"] = np.int32(zoom), x, y
     mentions["local_x"], mentions["local_y"] = lx, ly
     return mentions

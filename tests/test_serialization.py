@@ -27,8 +27,8 @@ if kind == 'encode':
     out = fn(batch)
     assert out.num_rows == 1 and len(out['mvt'][0].as_py()) > 10
 elif kind == 'parse':
-    out = fn(pd.DataFrame({'url': ['u'], 'text': ['located at 1.0000, 2.0000']}))
-    assert len(out) == 1
+    row_pos, mention_idx, lat, lon = fn(pa.array(['x', 'located at 1.0000, 2.0000']))
+    assert row_pos.tolist() == [1] and (lat[0], lon[0]) == (1.0, 2.0)
 elif kind == 'decode':
     raw = open(sys.argv[3], 'rb').read()
     tile, err = fn(raw)
@@ -87,8 +87,8 @@ def test_parser_ships_by_value():
     from raytiles.geo.parse import GeoParser
     parser = GeoParser()
 
-    def parse_batch(b):
-        return parser(b)
+    def parse_batch(texts):
+        return parser.parse_arrow(texts)
 
     _roundtrip_in_clean_process(parse_batch, "parse")
 
