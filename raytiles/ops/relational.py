@@ -5,7 +5,9 @@ These demonstrate the engine's wide-operation patterns at 100 TB scale
 
 - partial (combiner) aggregation inside map_batches BEFORE the groupby
   shuffle, so the all-to-all exchange moves one row per (key, batch)
-  instead of one per input row;
+  instead of one per input row; every one-input bucket exchange is
+  ``util.exchange`` and every run scan over sorted keys
+  ``util.run_starts``;
 - broadcast hash joins: the small side is ray.put once and looked up
   per batch — never a shuffle join for dimension tables;
 - top-k as aggregate + sort + limit on the already-tiny result.
@@ -26,8 +28,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..util import (bucket_of, cached_ref, cogroup, derive_buckets, splitmix64,
-                    sum_by_key)
+from ..util import (cached_ref, cogroup, derive_buckets, exchange, run_starts,
+                    splitmix64, sum_by_key)
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -233,12 +235,6 @@ def events_sessions(sf_dir: str, gap_min: int = 30) -> ray.data.Dataset:
     users in a bucket together. Order within equal ts is pinned by
     event_id so the oracle matches deterministically."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
-    gap = np.timedelta64(gap_min, "m")
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", pa.array(bucket_of(b["user_id"].to_numpy(), n_buckets)))
-
     gap_us = np.int64(gap_min) * 60_000_000
 
     def sessionize_bucket(g: pa.Table) -> pa.Table:
@@ -247,10 +243,7 @@ def events_sessions(sf_dir: str, gap_min: int = 30) -> ray.data.Dataset:
         eid = g["event_id"].to_numpy()
         order = np.lexsort((eid, ts, uid))
         uid, ts = uid[order], ts[order]
-        new_user = np.empty(len(uid), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        brk = new_user | (np.diff(ts, prepend=ts[:1]) > gap_us)
+        brk = run_starts(uid) | (np.diff(ts, prepend=ts[:1]) > gap_us)
         starts = np.flatnonzero(brk)
         # sessions are contiguous and ts-ascending after the sort, so
         # first == min and reduceat's sequential adds match pandas'
@@ -270,8 +263,7 @@ def events_sessions(sf_dir: str, gap_min: int = 30) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["event_id", "ts", "user_id", "value"])
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(sessionize_bucket, batch_format="pyarrow")
+    return exchange(ds, "user_id", sessionize_bucket, n_buckets)
 
 
 def events_asof(sf_dir: str, left_type: str = "purchase",
@@ -293,13 +285,6 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
     identically."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        b = b.filter(pc.is_in(b["event_type"],
-                              value_set=pa.array([left_type, right_type])))
-        return b.append_column(
-            "bucket", pa.array(bucket_of(b["user_id"].to_numpy(), n_buckets)))
-
     def asof_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -315,7 +300,7 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
                              "prior_event_id": np.empty(0, np.int64),
                              "prior_ts_us": np.empty(0, np.int64),
                              "gap_us": np.empty(0, np.int64)})
-        seg = np.cumsum(np.concatenate(([0], uid[1:] != uid[:-1])))
+        seg = np.cumsum(run_starts(uid)) - 1
         # right rows carry their own position + 1; the running max of
         # seg*(n+1) + that never crosses a user boundary undetected
         # because seg is the high digit
@@ -334,10 +319,11 @@ def events_asof(sf_dir: str, left_type: str = "purchase",
             "prior_ts_us": ts[pi],
             "gap_us": ts[li] - ts[pi]})
 
-    ds = ray.data.read_parquet(_p(sf_dir, "events"),
-                               columns=["event_id", "ts", "user_id", "event_type"])
-    return ds.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(asof_bucket, batch_format="pyarrow")
+    ds = ray.data.read_parquet(
+        _p(sf_dir, "events"),
+        columns=["event_id", "ts", "user_id", "event_type"],
+        filter=pc.field("event_type").isin([left_type, right_type]))
+    return exchange(ds, "user_id", asof_bucket, n_buckets)
 
 
 def _order_revenue_sides(sf_dir: str, status: str):
@@ -464,11 +450,15 @@ def nation_revenue(sf_dir: str, date_lo: str = "1996-01-01",
       custkey -> n_name map, ray.put once, looked up per batch — a
       broadcast join, never a shuffle.
 
-    Exactness: per-order revenue (<= ~13 float64 addends, engine and
-    oracle agree far past cents) is quantized half-away-from-zero to
-    INT64 cents BEFORE the per-nation sum, so the wide aggregation is
-    an order-free integer sum — bit-stable under any block layout, and
-    the oracle's SUM over identically quantized cents matches exactly."""
+    Exactness: per-order revenue (<= ~13 float64 addends) is quantized
+    half-away-from-zero to INT64 cents BEFORE the per-nation sum, so
+    the wide aggregation is an order-free integer sum, and the
+    oracle's SUM runs over identically quantized cents. The per-order
+    float sum is NOT layout-free: ``li_partial`` sums an order's lines
+    per lineitem batch and the merge sums those partials, so an order
+    split across batches adds its floats in another order, and a
+    revenue near a half cent can quantize the other way (in a 4-CPU
+    session 2 of 25 nations are one cent off the oracle)."""
     n_buckets = derive_buckets(f"{sf_dir}/lineitem.parquet", 256)
     import pyarrow.parquet as pq
 
@@ -602,10 +592,7 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4",
                       "n": np.ones(b.num_rows, np.int64)})
         g = pa.TableGroupBy(t, "l_partkey").aggregate(
             [("sq", "sum"), ("n", "sum")])
-        g = g.rename_columns(["l_partkey", "sq", "n"])
-        return g.append_column(
-            "bucket", pa.array(bucket_of(g["l_partkey"].to_numpy(),
-                                         n_buckets)))
+        return g.rename_columns(["l_partkey", "sq", "n"])
 
     def qty_merge(g: pa.Table) -> pa.Table:
         t = pa.TableGroupBy(g.select(["l_partkey", "sq", "n"]),
@@ -614,10 +601,10 @@ def small_quantity_revenue(sf_dir: str, brand: str = "Brand#4",
         return t.rename_columns(["l_partkey", "sq", "n"])
 
     li_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
-    agg = ray.data.read_parquet(_p(sf_dir, "lineitem"),
-                                columns=["l_partkey", "l_quantity"]) \
-        .map_batches(qty_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(qty_merge, batch_format="pyarrow") \
+    agg = exchange(ray.data.read_parquet(_p(sf_dir, "lineitem"),
+                                         columns=["l_partkey", "l_quantity"])
+                   .map_batches(qty_partial, batch_format="pyarrow"),
+                   "l_partkey", qty_merge, n_buckets) \
         .to_pandas()  # bounded: <= |brand parts| rows (a dimension)
     order = np.argsort(agg["l_partkey"].to_numpy(), kind="stable")
     thr = (factor * (agg["sq"].to_numpy(np.float64)
@@ -818,8 +805,6 @@ def user_features(sf_dir: str) -> ray.data.Dataset:
     one 7-column row per (user, batch). Final: bounded-bucket groupby
     on splitmix(user_id), vectorized sum-merge per user."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
-    import pyarrow.compute as pc
-
     cols = [f"n_{t}" for t in EVENT_TYPES]
 
     def partial(b: pa.Table) -> pa.Table:
@@ -829,9 +814,7 @@ def user_features(sf_dir: str) -> ray.data.Dataset:
                 pc.equal(b["event_type"], name), pa.int64())
         g = pa.TableGroupBy(pa.table(t), "user_id").aggregate(
             [(c, "sum") for c in cols] + [("value", "sum")])
-        g = g.rename_columns(["user_id"] + cols + ["sum_value"])
-        return g.append_column(
-            "bucket", pa.array(bucket_of(g["user_id"].to_numpy(), n_buckets)))
+        return g.rename_columns(["user_id"] + cols + ["sum_value"])
 
     def merge(g: pa.Table) -> pa.Table:
         t = pa.TableGroupBy(
@@ -846,8 +829,8 @@ def user_features(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["user_id", "event_type", "value"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "user_id", merge, n_buckets)
 
 
 def funnel_conversion(sf_dir: str) -> ray.data.Dataset:
@@ -861,15 +844,12 @@ def funnel_conversion(sf_dir: str) -> ray.data.Dataset:
     bucket; the per-bucket finalizer is one lexsort + segment
     minimum.reduceat over masked timestamps — no per-user loop."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
-    import pyarrow.compute as pc
 
-
-    def tag(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": pc.cast(b["user_id"], pa.int64()),
             "ts_us": pc.cast(b["ts"], pa.int64()),
-            "is_purchase": pc.equal(b["event_type"], "purchase"),
-            "bucket": pa.array(bucket_of(b["user_id"].to_numpy(), n_buckets))})
+            "is_purchase": pc.equal(b["event_type"], "purchase")})
 
     _EMPTY = pa.schema([("user_id", pa.int64()), ("signup_us", pa.int64()),
                         ("conv_us", pa.int64()), ("converted", pa.bool_())])
@@ -880,10 +860,7 @@ def funnel_conversion(sf_dir: str) -> ray.data.Dataset:
         isp = g["is_purchase"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, uid))
         uid, ts, isp = uid[order], ts[order], isp[order]
-        n = len(uid)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
+        new = run_starts(uid)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
         big = np.iinfo(np.int64).max
@@ -908,8 +885,8 @@ def funnel_conversion(sf_dir: str) -> ray.data.Dataset:
         _p(sf_dir, "events"), columns=["user_id", "ts", "event_type"],
         filter=(pa.compute.field("event_type") == "signup")
         | (pa.compute.field("event_type") == "purchase"))
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final, batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "user_id", final, n_buckets)
 
 
 def urgent_revenue(sf_dir: str, priority: str = "1-URGENT",
@@ -1038,14 +1015,12 @@ def running_revenue(sf_dir: str) -> ray.data.Dataset:
     i.e. for any realistic per-customer prefix."""
     n_buckets = derive_buckets(f"{sf_dir}/orders.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
-        cust = b["o_custkey"].to_numpy()
+    def project(b: pa.Table) -> pa.Table:
         return pa.table({
-            "o_custkey": cust.astype(np.int64),
-            "o_orderkey": pa.compute.cast(b["o_orderkey"], pa.int64()),
-            "order_us": pa.compute.cast(b["o_orderdate"], pa.int64()),
-            "price": b["o_totalprice"],
-            "bucket": bucket_of(cust, n_buckets)})
+            "o_custkey": pc.cast(b["o_custkey"], pa.int64()),
+            "o_orderkey": pc.cast(b["o_orderkey"], pa.int64()),
+            "order_us": pc.cast(b["o_orderdate"], pa.int64()),
+            "price": b["o_totalprice"]})
 
     def final(g: pa.Table) -> pa.Table:
         cust = g["o_custkey"].to_numpy()
@@ -1056,10 +1031,7 @@ def running_revenue(sf_dir: str) -> ray.data.Dataset:
         cust, okey, ts, price = (cust[order], okey[order], ts[order],
                                  price[order])
         cents = np.rint(price * 100.0).astype(np.int64)
-        n = len(cust)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = cust[1:] != cust[:-1]
+        new = run_starts(cust)
         cs = np.cumsum(cents)
         prefix = np.where(new, cs - cents, 0)
         cum = cs - np.maximum.accumulate(prefix)
@@ -1070,8 +1042,8 @@ def running_revenue(sf_dir: str) -> ray.data.Dataset:
     ds = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final, batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "o_custkey", final, n_buckets)
 
 
 _WEEK_US = 7 * 86_400_000_000
@@ -1099,14 +1071,12 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
     domain is (weeks x offsets) — tens of rows, never user-sized."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
-        user = b["user_id"].to_numpy()
+    def project(b: pa.Table) -> pa.Table:
         ts = pc.cast(b["ts"], pa.int64()).to_numpy()
         return pa.table({
-            "user_id": user.astype(np.int64),
+            "user_id": pc.cast(b["user_id"], pa.int64()),
             "week_us": _week_start_us(ts),
-            "is_signup": pc.equal(b["event_type"], "signup"),
-            "bucket": bucket_of(user, n_buckets)})
+            "is_signup": pc.equal(b["event_type"], "signup")})
 
     _EMPTY = pa.schema([("cohort_us", pa.int64()),
                         ("week_offset", pa.int64()),
@@ -1118,10 +1088,7 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
         iss = g["is_signup"].to_numpy(zero_copy_only=False)
         order = np.lexsort((wk, uid))
         uid, wk, iss = uid[order], wk[order], iss[order]
-        n = len(uid)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
+        new = run_starts(uid)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
         big = np.iinfo(np.int64).max
@@ -1133,10 +1100,7 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
         # distinct (user, week) among cohorted users — rows are already
         # lexsorted by (user, week), so distinct = adjacent difference
         # (no packed key that could overflow at real user-id scale)
-        firstuw = np.empty(n, dtype=bool)
-        firstuw[0] = True
-        firstuw[1:] = (uid[1:] != uid[:-1]) | (wk[1:] != wk[:-1])
-        sel = keep & firstuw
+        sel = keep & run_starts(uid, wk)
         w_sel = wk[sel]
         c_sel = cohort[seg][sel]
         off = (w_sel - c_sel) // _WEEK_US
@@ -1148,8 +1112,8 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"), columns=["user_id", "ts", "event_type"])
-    parts = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final, batch_format="pyarrow")
+    parts = exchange(ds.map_batches(project, batch_format="pyarrow"),
+                     "user_id", final, n_buckets)
     agg = parts.groupby(["cohort_us", "week_offset"]).aggregate(
         Sum("n", alias_name="n_active"))
 
@@ -1163,8 +1127,7 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
 
 
 def events_watermark(sf_dir: str, lateness_s: int = 300,
-                     ids_per_bucket: int = 65536,
-                     n_shuffle: int = 512) -> ray.data.Dataset:
+                     ids_per_bucket: int = 65536) -> ray.data.Dataset:
     """Streaming-watermark / late-data flagging — a DISTRIBUTED PREFIX
     SCAN: for every event (arrival order = event_id), the exclusive
     running max of event time seen so far (the watermark) and whether
@@ -1184,6 +1147,7 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
     SQL twin: max(epoch_us(ts)) OVER (ORDER BY event_id ROWS BETWEEN
     UNBOUNDED PRECEDING AND 1 PRECEDING)."""
     late_us = np.int64(lateness_s * 1_000_000)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["event_id", "ts"])
@@ -1197,7 +1161,7 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
         bkt = eid // B
         order = np.argsort(bkt, kind="stable")
         sb = bkt[order]
-        starts = np.flatnonzero(np.concatenate([[True], sb[1:] != sb[:-1]]))
+        starts = np.flatnonzero(run_starts(sb))
         return pa.table({
             "bkt": pa.array(sb[starts]),
             "mx": pa.array(np.maximum.reduceat(ts[order], starts))})
@@ -1211,14 +1175,12 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
         [[np.iinfo(np.int64).min], np.maximum.accumulate(folded)[:-1]])
     carry_ref = ray.put(carry)
 
-    def tag(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy().astype(np.int64)
         ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        bkt = eid // B
         return pa.table({
             "event_id": pa.array(eid), "ts_us": pa.array(ts),
-            "bkt": pa.array(bkt),
-            "shard": pa.array(bucket_of(bkt.astype(np.uint64), n_shuffle))})
+            "bkt": pa.array(eid // B)})
 
     def scan(g: pa.Table) -> pa.Table:
         cr = ray.get(carry_ref)
@@ -1227,11 +1189,8 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
         bkt = g["bkt"].to_numpy()
         order = np.lexsort((eid, bkt))
         eid, ts, bkt = eid[order], ts[order], bkt[order]
-        # local exclusive cummax per bucket
-        inc = np.maximum.accumulate(ts)
-        starts = np.flatnonzero(
-            np.concatenate([[True], bkt[1:] != bkt[:-1]]))
-        # reset the accumulate at bucket starts: redo per bucket span
+        # local exclusive cummax, restarted at each id bucket's start
+        starts = np.flatnonzero(run_starts(bkt))
         wm = np.empty_like(ts)
         lo = np.iinfo(np.int64).min
         for s, e in zip(starts, np.concatenate([starts[1:], [len(ts)]])):
@@ -1239,7 +1198,6 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
             excl = np.concatenate(
                 [[lo], np.maximum.accumulate(seg)[:-1]])
             wm[s:e] = np.maximum(excl, cr[bkt[s]])
-        del inc
         first = wm == lo
         return pa.table({
             "event_id": pa.array(eid),
@@ -1249,8 +1207,8 @@ def events_watermark(sf_dir: str, lateness_s: int = 300,
                 np.where(first, np.int64(0),
                          (ts < wm - late_us).astype(np.int64)))})
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("shard").map_groups(scan, batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "bkt", scan, n_buckets)
 
 
 def event_transitions(sf_dir: str) -> ray.data.Dataset:
@@ -1270,16 +1228,13 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
     k = len(EVENT_TYPES)
     type_arr = pa.array(EVENT_TYPES)
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        ti = pc.cast(pc.index_in(b["event_type"], value_set=type_arr),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+    def project(b: pa.Table) -> pa.Table:
         return pa.table({
-            "user_id": uid.astype(np.int64),
+            "user_id": pc.cast(b["user_id"], pa.int64()),
             "ts_us": pc.cast(b["ts"], pa.int64()),
             "event_id": pc.cast(b["event_id"], pa.int64()),
-            "ti": ti,
-            "bucket": bucket_of(uid, n_buckets)})
+            "ti": pc.cast(pc.index_in(b["event_type"], value_set=type_arr),
+                          pa.int64())})
 
     def pairs_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -1288,14 +1243,10 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
         ti = g["ti"].to_numpy()
         order = np.lexsort((eid, ts, uid))
         uid, ti = uid[order], ti[order]
-        empty = pa.table({"pair": np.empty(0, np.int64),
-                          "n": np.empty(0, np.int64)})
-        if len(uid) < 2:
-            return empty
-        has_prev = uid[1:] == uid[:-1]
-        li = np.flatnonzero(has_prev) + 1
+        li = np.flatnonzero(~run_starts(uid))
         if not len(li):
-            return empty
+            return pa.table({"pair": np.empty(0, np.int64),
+                             "n": np.empty(0, np.int64)})
         pair = ti[li - 1] * k + ti[li]
         vals, counts = np.unique(pair, return_counts=True)
         return pa.table({"pair": vals, "n": counts.astype(np.int64)})
@@ -1305,14 +1256,11 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
         ns = b["n"].to_numpy()
         order = np.argsort(vals, kind="stable")
         vals, ns = vals[order], ns[order]
-        new = np.empty(len(vals), dtype=bool)
         if not len(vals):
             return pa.table({"from_type": pa.array([], pa.string()),
                              "to_type": pa.array([], pa.string()),
                              "n": np.empty(0, np.int64)})
-        new[0] = True
-        new[1:] = vals[1:] != vals[:-1]
-        st = np.flatnonzero(new)
+        st = np.flatnonzero(run_starts(vals))
         vals = vals[st]
         total = np.add.reduceat(ns, st).astype(np.int64)
         types = np.asarray(EVENT_TYPES)
@@ -1323,8 +1271,8 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "user_id", "ts", "event_type"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs_bucket, batch_format="pyarrow") \
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "user_id", pairs_bucket, n_buckets) \
         .repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
@@ -1343,15 +1291,13 @@ def user_value_history(sf_dir: str,
     it shares the user. One bounded shuffle, no window machinery."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["event_type"], event_type))
-        uid = b["user_id"].to_numpy()
         return pa.table({
-            "user_id": uid.astype(np.int64),
+            "user_id": pc.cast(b["user_id"], pa.int64()),
             "ts_us": pc.cast(b["ts"], pa.int64()),
             "event_id": pc.cast(b["event_id"], pa.int64()),
-            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64),
-            "bucket": bucket_of(uid, n_buckets)})
+            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64)})
 
     def history_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -1368,7 +1314,7 @@ def user_value_history(sf_dir: str,
                              "valid_from_us": np.empty(0, np.int64),
                              "valid_to_us": np.empty(0, np.int64)})
         valid_to = np.full(n, -1, np.int64)
-        same_next = uid[:-1] == uid[1:]
+        same_next = ~run_starts(uid)[1:]
         valid_to[:-1][same_next] = ts[1:][same_next]
         return pa.table({"user_id": uid, "event_id": eid, "vm": vm,
                          "valid_from_us": ts, "valid_to_us": valid_to})
@@ -1376,9 +1322,8 @@ def user_value_history(sf_dir: str,
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "user_id", "ts", "event_type", "value"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(history_bucket,
-                                      batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "user_id", history_bucket, n_buckets)
 
 
 def events_ohlc(sf_dir: str, bucket_hours: int = 6) -> ray.data.Dataset:
@@ -1420,10 +1365,7 @@ def events_ohlc(sf_dir: str, bucket_hours: int = 6) -> ray.data.Dataset:
                 "high_vm": np.empty(0, np.int64),
                 "low_vm": np.empty(0, np.int64),
                 "n": np.empty(0, np.int64), "sum_vm": np.empty(0, np.int64)})
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = (et[1:] != et[:-1]) | (bk[1:] != bk[:-1])
-        st = np.flatnonzero(new)
+        st = np.flatnonzero(run_starts(et, bk))
         en = np.append(st[1:], n) - 1
         return pa.table({
             "et": et[st], "bk": bk[st],
@@ -1454,15 +1396,11 @@ def events_ohlc(sf_dir: str, bucket_hours: int = 6) -> ray.data.Dataset:
         # merge rule: open = value at the (ts, event_id)-smallest
         # partial, close = at the largest — pick via lexsort ends
         oorder = np.lexsort((oid, ots, bk, et))
-        et_o, bk_o = et[oorder], bk[oorder]
-        new = np.empty(len(et), dtype=bool)
-        new[0] = True
-        new[1:] = (et_o[1:] != et_o[:-1]) | (bk_o[1:] != bk_o[:-1])
-        st = np.flatnonzero(new)
+        st = np.flatnonzero(run_starts(et[oorder], bk[oorder]))
         corder = np.lexsort((cid, cts, bk, et))
-        en_keys = np.append(np.flatnonzero(
-            (et[corder][1:] != et[corder][:-1])
-            | (bk[corder][1:] != bk[corder][:-1])), len(et) - 1)
+        en_keys = np.append(
+            np.flatnonzero(run_starts(et[corder], bk[corder]))[1:],
+            len(et)) - 1
         hi = pa.TableGroupBy(
             g.select(["et", "bk", "high_vm", "low_vm", "n", "sum_vm"]),
             ["et", "bk"]).aggregate(
@@ -1641,8 +1579,7 @@ def value_histogram(sf_dir: str, bin_width: float = 5.0) -> ray.data.Dataset:
 
 
 def events_range_window(sf_dir: str, range_s: int = 300,
-                        bucket_s: int = 3600,
-                        n_shuffle: int = 256) -> ray.data.Dataset:
+                        bucket_s: int = 3600) -> ray.data.Dataset:
     """Trailing time-RANGE window over the global event stream: for
     every event, how many events (any type) fall in [ts - range_s,
     ts] — SQL's RANGE BETWEEN <interval> PRECEDING AND CURRENT ROW,
@@ -1664,6 +1601,7 @@ def events_range_window(sf_dir: str, range_s: int = 300,
     {range_us} PRECEDING AND CURRENT ROW)."""
     range_us = np.int64(range_s * 1_000_000)
     bucket_us = np.int64(bucket_s * 1_000_000)
+    n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
     def replicate(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy().astype(np.int64)
@@ -1677,9 +1615,7 @@ def events_range_window(sf_dir: str, range_s: int = 300,
             [np.zeros(len(eid), bool), np.ones(int(halo.sum()), bool)])
         return pa.table({
             "event_id": pa.array(out_eid), "ts_us": pa.array(out_ts),
-            "bkt": pa.array(out_bkt), "is_halo": pa.array(out_halo),
-            "shard": pa.array(bucket_of(out_bkt.astype(np.uint64),
-                                        n_shuffle))})
+            "bkt": pa.array(out_bkt), "is_halo": pa.array(out_halo)})
 
     def count_windows(g: pa.Table) -> pa.Table:
         ts = g["ts_us"].to_numpy()
@@ -1688,8 +1624,7 @@ def events_range_window(sf_dir: str, range_s: int = 300,
         halo = g["is_halo"].to_numpy()
         order = np.lexsort((ts, bkt))
         ts, eid, bkt, halo = ts[order], eid[order], bkt[order], halo[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], bkt[1:] != bkt[:-1])))
+        starts = np.flatnonzero(run_starts(bkt))
         ends = np.concatenate((starts[1:], [len(ts)]))
         out_eid, out_n = [], []
         for s, e in zip(starts, ends):
@@ -1704,10 +1639,22 @@ def events_range_window(sf_dir: str, range_s: int = 300,
             "n_in_range": pa.array(
                 np.concatenate(out_n).astype(np.int64))})
 
-    return ray.data.read_parquet(_p(sf_dir, "events"),
-                                 columns=["event_id", "ts"]) \
-        .map_batches(replicate, batch_format="pyarrow") \
-        .groupby("shard").map_groups(count_windows, batch_format="pyarrow")
+    return exchange(ray.data.read_parquet(_p(sf_dir, "events"),
+                                          columns=["event_id", "ts"])
+                    .map_batches(replicate, batch_format="pyarrow"),
+                    "bkt", count_windows, n_buckets)
+
+
+def _events_vm(b: pa.Table) -> pa.Table:
+    """(event_id, user_id, ts_us, vm) of an events batch: int64 ids and
+    epoch microseconds, the value as exact INT64 micro-units
+    (floor(value * 1e6), the identical double op in every twin)."""
+    return pa.table({
+        "event_id": pc.cast(b["event_id"], pa.int64()),
+        "user_id": pc.cast(b["user_id"], pa.int64()),
+        "ts_us": pc.cast(b["ts"], pa.int64()),
+        "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64)})
+
 
 def events_lag(sf_dir: str) -> ray.data.Dataset:
     """LAG window (offset lookback): each event paired with the SAME
@@ -1725,15 +1672,6 @@ def events_lag(sf_dir: str) -> ray.data.Dataset:
     order-free."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table({
-            "event_id": pa.compute.cast(b["event_id"], pa.int64()),
-            "user_id": uid.astype(np.int64),
-            "ts_us": pa.compute.cast(b["ts"], pa.int64()),
-            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64),
-            "bucket": bucket_of(uid, n_buckets)})
-
     def lag_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -1741,16 +1679,12 @@ def events_lag(sf_dir: str) -> ray.data.Dataset:
         vm = g["vm"].to_numpy()
         order = np.lexsort((eid, ts, uid))
         uid, ts, eid, vm = uid[order], ts[order], eid[order], vm[order]
-        n = len(uid)
         empty = pa.table({"event_id": np.empty(0, np.int64),
                           "user_id": np.empty(0, np.int64),
                           "ts_us": np.empty(0, np.int64),
                           "prev_event_id": np.empty(0, np.int64),
                           "delta_micro": np.empty(0, np.int64)})
-        if n < 2:
-            return empty
-        has_prev = np.concatenate(([False], uid[1:] == uid[:-1]))
-        li = np.flatnonzero(has_prev)
+        li = np.flatnonzero(~run_starts(uid))
         return pa.table({
             "event_id": eid[li], "user_id": uid[li], "ts_us": ts[li],
             "prev_event_id": eid[li - 1],
@@ -1758,8 +1692,8 @@ def events_lag(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["event_id", "ts", "user_id", "value"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(lag_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(_events_vm, batch_format="pyarrow"),
+                    "user_id", lag_bucket, n_buckets)
 
 
 def events_moving_sum(sf_dir: str, k_preceding: int = 3) -> ray.data.Dataset:
@@ -1776,15 +1710,6 @@ def events_moving_sum(sf_dir: str, k_preceding: int = 3) -> ray.data.Dataset:
     order-free bit-exact vs the oracle's integer sum."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table({
-            "event_id": pa.compute.cast(b["event_id"], pa.int64()),
-            "user_id": uid.astype(np.int64),
-            "ts_us": pa.compute.cast(b["ts"], pa.int64()),
-            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64),
-            "bucket": bucket_of(uid, n_buckets)})
-
     def window_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -1800,10 +1725,7 @@ def events_moving_sum(sf_dir: str, k_preceding: int = 3) -> ray.data.Dataset:
                              "w_sum_micro": np.empty(0, np.int64),
                              "w_n": np.empty(0, np.int64)})
         idx = np.arange(n)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        seg_first = np.maximum.accumulate(np.where(new, idx, 0))
+        seg_first = np.maximum.accumulate(np.where(run_starts(uid), idx, 0))
         lo = np.maximum(idx - k_preceding, seg_first)
         cs = np.cumsum(vm)
         # frame sum = cs[i] - cs[lo-1]; lo == 0 rows start at the
@@ -1815,8 +1737,8 @@ def events_moving_sum(sf_dir: str, k_preceding: int = 3) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["event_id", "ts", "user_id", "value"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(window_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(_events_vm, batch_format="pyarrow"),
+                    "user_id", window_bucket, n_buckets)
 
 
 def events_pivot(sf_dir: str,
@@ -1972,12 +1894,10 @@ def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
     dur_us = duration_s * 1_000_000
 
-    def tag(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy()
+    def project(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].cast(pa.int64()).to_numpy()
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets),
-            "user_id": uid, "s": ts, "e": ts + dur_us})
+        return pa.table({"user_id": batch["user_id"], "s": ts,
+                         "e": ts + dur_us})
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -1991,11 +1911,9 @@ def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
                 "user_id": pa.array([], pa.int64()),
                 "n_intervals": pa.array([], pa.int64()),
                 "covered_us": pa.array([], pa.int64())})
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
+        new_user = run_starts(uid)
         # running max of e within each user segment, EXCLUSIVE of the
-        # current row. All intervals share one duration (tag sets
+        # current row. All intervals share one duration (project sets
         # e = ts + dur_us), so e ascends within each sorted segment
         # and the grouped running max IS the previous row's e — no
         # grouped cummax needed (an offset-and-accumulate trick would
@@ -2013,8 +1931,7 @@ def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
         isl_e = np.maximum.reduceat(e, isl_first)
         isl_uid = uid[isl_first]
         # per-user rollup over islands
-        u_first = np.flatnonzero(
-            np.concatenate(([True], isl_uid[1:] != isl_uid[:-1])))
+        u_first = np.flatnonzero(run_starts(isl_uid))
         covered = np.add.reduceat(isl_e - isl_s, u_first)
         counts = np.diff(np.concatenate((u_first, [len(isl_uid)])))
         return pa.table({
@@ -2024,8 +1941,8 @@ def interval_coverage(sf_dir: str, duration_s: int = 300) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["user_id", "ts"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "user_id", merge_bucket, n_buckets)
 
 
 def _ts_day_range(path: str, ds: "ray.data.Dataset",
@@ -2113,14 +2030,9 @@ def rolling_dau(sf_dir: str, window_days: int = 7) -> ray.data.Dataset:
         # (user_id is a full int64 at scale): lexsort + first-flag
         order = np.lexsort((uid, d))
         d, uid = d[order], uid[order]
-        if len(d):
-            first = np.empty(len(d), dtype=bool)
-            first[0] = True
-            first[1:] = (d[1:] != d[:-1]) | (uid[1:] != uid[:-1])
-            d, uid = d[first], uid[first]
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets),
-            "day_i": d.astype(np.int64), "user_id": uid})
+        first = run_starts(d, uid)
+        return pa.table({"day_i": d[first].astype(np.int64),
+                         "user_id": uid[first]})
 
     def bucket_counts(g: pa.Table) -> pa.Table:
         # Memory note (the 100x lens): the bucket's working set is
@@ -2147,8 +2059,8 @@ def rolling_dau(sf_dir: str, window_days: int = 7) -> ray.data.Dataset:
         return pa.table({"day_i": pa.array(np.arange(n_days, dtype=np.int64)),
                          "p_dau": pa.array(dau), "p_dau_w": pa.array(dau_w)})
 
-    agg = ds.map_batches(distinct_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_counts, batch_format="pyarrow") \
+    agg = exchange(ds.map_batches(distinct_partial, batch_format="pyarrow"),
+                   "user_id", bucket_counts, n_buckets) \
         .groupby("day_i").aggregate(Sum("p_dau", alias_name="dau"),
                                     Sum("p_dau_w", alias_name="dau_w"))
 
@@ -2179,22 +2091,17 @@ def _cent_counts(sf_dir: str) -> pd.DataFrame:
                       "one": pa.array(np.ones(len(cents), np.int64))})
         g = pa.TableGroupBy(t, ["event_type", "cent"]).aggregate(
             [("one", "sum")])
-        g = g.rename_columns(["event_type", "cent", "n"])
-        cent = g["cent"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(cent, _CENT_BUCKETS),
-            "event_type": g["event_type"], "cent": cent, "n": g["n"]})
+        return g.rename_columns(["event_type", "cent", "n"])
 
     def merge(g: pa.Table) -> pa.Table:
         out = pa.TableGroupBy(g.select(["event_type", "cent", "n"]),
                               ["event_type", "cent"]).aggregate([("n", "sum")])
         return out.rename_columns(["event_type", "cent", "n"])
 
-    return ray.data.read_parquet(_p(sf_dir, "events"),
-                                 columns=["event_type", "value"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
-        .to_pandas()
+    return exchange(ray.data.read_parquet(_p(sf_dir, "events"),
+                                          columns=["event_type", "value"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "cent", merge, _CENT_BUCKETS).to_pandas()
 
 
 def events_deciles(sf_dir: str) -> pd.DataFrame:
@@ -2231,6 +2138,16 @@ def events_deciles(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
+def _events_initial(batch: pa.Table) -> pa.Table:
+    """(user_id, ts_us, event_id, c) of an events batch, c the first
+    letter of the event type: the one-char tokens of a journey."""
+    return pa.table({
+        "user_id": batch["user_id"],
+        "ts_us": batch["ts"].cast(pa.int64()),
+        "event_id": batch["event_id"],
+        "c": pc.utf8_slice_codeunits(batch["event_type"], 0, 1)})
+
+
 def user_journeys(sf_dir: str) -> ray.data.Dataset:
     """Per-user event-sequence string ("journey"): the first letter of
     each event_type concatenated in (ts, event_id) order — the compact
@@ -2243,15 +2160,6 @@ def user_journeys(sf_dir: str) -> ray.data.Dataset:
     the final per-USER string construction (one slice + decode per
     user, not per event)."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
-    def tag(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = batch["user_id"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets),
-            "user_id": uid,
-            "ts_us": batch["ts"].cast(pa.int64()),
-            "event_id": batch["event_id"],
-            "c": pc.utf8_slice_codeunits(batch["event_type"], 0, 1)})
 
     def journeys(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -2262,8 +2170,7 @@ def user_journeys(sf_dir: str) -> ray.data.Dataset:
         chars = np.asarray(g["c"].to_numpy(zero_copy_only=False)[order],
                            dtype="S1")
         buf = chars.tobytes()
-        u_first = np.flatnonzero(
-            np.concatenate(([True], uid[1:] != uid[:-1])))
+        u_first = np.flatnonzero(run_starts(uid))
         bounds = np.concatenate((u_first, [len(uid)]))
         return pa.table({
             "user_id": pa.array(uid[u_first].astype(np.int64)),
@@ -2274,8 +2181,8 @@ def user_journeys(sf_dir: str) -> ray.data.Dataset:
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "ts", "user_id", "event_type"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(journeys, batch_format="pyarrow")
+    return exchange(ds.map_batches(_events_initial, batch_format="pyarrow"),
+                    "user_id", journeys, n_buckets)
 
 
 def unpivot_lineitem(sf_dir: str) -> ray.data.Dataset:
@@ -2372,15 +2279,11 @@ def churned_users(sf_dir: str, window_days: int = 1) -> ray.data.Dataset:
         uid = uid[order]
         f = in_first[order]
         last = in_last[order]
-        u_first = np.flatnonzero(
-            np.concatenate(([True], uid[1:] != uid[:-1]))) \
-            if len(uid) else np.empty(0, np.int64)
-        fmax = np.maximum.reduceat(f, u_first) if len(uid) else f
-        lmax = np.maximum.reduceat(last, u_first) if len(uid) else last
-        u = uid[u_first] if len(uid) else uid
+        u_first = np.flatnonzero(run_starts(uid))
         return pa.table({
-            "bucket": bucket_of(u, n_buckets), "user_id": u,
-            "in_first": fmax, "in_last": lmax})
+            "user_id": uid[u_first],
+            "in_first": np.maximum.reduceat(f, u_first),
+            "in_last": np.maximum.reduceat(last, u_first)})
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["user_id", "in_first", "in_last"]),
@@ -2393,8 +2296,8 @@ def churned_users(sf_dir: str, window_days: int = 1) -> ray.data.Dataset:
         return pa.table({"user_id": pa.array(
             m["user_id"].to_numpy()[keep].astype(np.int64))})
 
-    return ds.map_batches(flags, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(reduce_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(flags, batch_format="pyarrow"),
+                    "user_id", reduce_bucket, n_buckets)
 
 
 def value_time_corr(sf_dir: str) -> ray.data.Dataset:
@@ -2496,16 +2399,6 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p") -> ray.data.Dataset:
 
     rx = _re.compile(pattern)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = batch["user_id"].to_numpy()
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets),
-            "user_id": uid,
-            "ts_us": batch["ts"].cast(pa.int64()),
-            "event_id": batch["event_id"],
-            "c": pc.utf8_slice_codeunits(batch["event_type"], 0, 1)})
-
     def count_matches(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -2515,8 +2408,7 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p") -> ray.data.Dataset:
         chars = np.asarray(g["c"].to_numpy(zero_copy_only=False)[order],
                            dtype="S1")
         buf = chars.tobytes().decode()
-        u_first = np.flatnonzero(
-            np.concatenate(([True], uid[1:] != uid[:-1])))
+        u_first = np.flatnonzero(run_starts(uid))
         bounds = np.concatenate((u_first, [len(uid)]))
         return pa.table({
             "user_id": pa.array(uid[u_first].astype(np.int64)),
@@ -2527,8 +2419,8 @@ def journey_pattern(sf_dir: str, pattern: str = "s[cv]*p") -> ray.data.Dataset:
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "ts", "user_id", "event_type"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(count_matches, batch_format="pyarrow")
+    return exchange(ds.map_batches(_events_initial, batch_format="pyarrow"),
+                    "user_id", count_matches, n_buckets)
 
 
 def new_users_curve(sf_dir: str) -> pd.DataFrame:
@@ -2555,27 +2447,21 @@ def new_users_curve(sf_dir: str) -> pd.DataFrame:
         d = (batch["ts"].cast(pa.int64()).to_numpy() // DAY_US) - lo_day
         order = np.lexsort((d, uid))
         uid, d = uid[order], d[order]
-        if len(uid):
-            first = np.empty(len(uid), dtype=bool)
-            first[0] = True
-            first[1:] = uid[1:] != uid[:-1]
-            uid, d = uid[first], d[first]
-        return pa.table({"bucket": bucket_of(uid, n_buckets),
-                         "user_id": uid, "d": d.astype(np.int64)})
+        first = run_starts(uid)
+        return pa.table({"user_id": uid[first],
+                         "d": d[first].astype(np.int64)})
 
     def bucket_hist(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         d = g["d"].to_numpy()
         order = np.lexsort((d, uid))
         uid, d = uid[order], d[order]
-        first = np.concatenate(([True], uid[1:] != uid[:-1])) \
-            if len(uid) else np.empty(0, bool)
-        hist = np.bincount(d[first], minlength=n_days).astype(np.int64)
+        hist = np.bincount(d[run_starts(uid)], minlength=n_days).astype(np.int64)
         return pa.table({"day_i": pa.array(np.arange(n_days, dtype=np.int64)),
                          "p_new": pa.array(hist)})
 
-    agg = ds.map_batches(first_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_hist, batch_format="pyarrow") \
+    agg = exchange(ds.map_batches(first_partial, batch_format="pyarrow"),
+                   "user_id", bucket_hist, n_buckets) \
         .groupby("day_i").aggregate(Sum("p_new", alias_name="n_new")) \
         .to_pandas().sort_values("day_i")
 
@@ -2599,15 +2485,13 @@ def time_weighted_value(sf_dir: str) -> ray.data.Dataset:
     2^63), and BOTH sides convert the same exact int64 numerator to
     double for the final division, so parity holds to the round."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 512)
-    def tag(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = batch["user_id"].to_numpy()
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
-                        pa.int64()).to_numpy(zero_copy_only=False)
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "bucket": bucket_of(uid, n_buckets), "user_id": uid,
+            "user_id": batch["user_id"],
             "t": batch["ts"].cast(pa.int64()),
-            "event_id": batch["event_id"], "cent": cents})
+            "event_id": batch["event_id"],
+            "cent": pc.cast(pc.round(pc.multiply(batch["value"], 100.0)),
+                            pa.int64())})
 
     def twa_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -2621,9 +2505,7 @@ def time_weighted_value(sf_dir: str) -> ray.data.Dataset:
             return pa.table({"user_id": pa.array([], pa.int64()),
                              "n_events": pa.array([], pa.int64()),
                              "twa": pa.array([], pa.float64())})
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
+        new_user = run_starts(uid)
         # duration each value is held; a user's LAST event holds 0
         dur = np.empty(n, np.int64)
         dur[:-1] = t[1:] - t[:-1]
@@ -2644,8 +2526,8 @@ def time_weighted_value(sf_dir: str) -> ray.data.Dataset:
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "ts", "user_id", "value"])
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(twa_bucket, batch_format="pyarrow")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    "user_id", twa_bucket, n_buckets)
 
 
 def audience_overlap(sf_dir: str) -> ray.data.Dataset:
@@ -2667,14 +2549,9 @@ def audience_overlap(sf_dir: str) -> ray.data.Dataset:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         order = np.lexsort((et, uid))
         uid, et = uid[order], et[order]
-        if len(uid):
-            first = np.empty(len(uid), dtype=bool)
-            first[0] = True
-            first[1:] = (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])
-            uid, et = uid[first], et[first]
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets), "user_id": uid,
-            "event_type": pa.array(et, pa.string())})
+        first = run_starts(uid, et)
+        return pa.table({"user_id": uid[first],
+                         "event_type": pa.array(et[first], pa.string())})
 
     def mask_counts(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -2694,10 +2571,10 @@ def audience_overlap(sf_dir: str) -> ray.data.Dataset:
                          "type_b": pa.array(tb, pa.string()),
                          "n": pa.array(cnt, pa.int64())})
 
-    agg = ray.data.read_parquet(_p(sf_dir, "events"),
-                                columns=["user_id", "event_type"]) \
-        .map_batches(distinct_pairs, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(mask_counts, batch_format="pyarrow") \
+    agg = exchange(ray.data.read_parquet(_p(sf_dir, "events"),
+                                         columns=["user_id", "event_type"])
+                   .map_batches(distinct_pairs, batch_format="pyarrow"),
+                   "user_id", mask_counts, n_buckets) \
         .groupby(["type_a", "type_b"]).aggregate(Sum("n", alias_name="n"))
 
     def finalize(b: pd.DataFrame) -> pd.DataFrame:
@@ -2787,14 +2664,9 @@ def loyal_users(sf_dir: str, event_type: str = "purchase") -> ray.data.Dataset:
         w = batch["ts"].cast(pa.int64()).to_numpy() // DAY_US // 7
         order = np.lexsort((w, uid))
         uid, w = uid[order], w[order]
-        if len(uid):
-            first = np.empty(len(uid), dtype=bool)
-            first[0] = True
-            first[1:] = (uid[1:] != uid[:-1]) | (w[1:] != w[:-1])
-            uid, w = uid[first], w[first]
-        return pa.table({
-            "bucket": bucket_of(uid, n_buckets), "user_id": uid,
-            "week": w.astype(np.int64)})
+        first = run_starts(uid, w)
+        return pa.table({"user_id": uid[first],
+                         "week": w[first].astype(np.int64)})
 
     def divide(g: pa.Table) -> pa.Table:
         # rows are already distinct (user, week) pairs from the
@@ -2806,18 +2678,15 @@ def loyal_users(sf_dir: str, event_type: str = "purchase") -> ray.data.Dataset:
         uid, w = uid[order], w[order]
         if len(uid) == 0:
             return pa.table({"user_id": pa.array([], pa.int64())})
-        first = np.concatenate(([True], (uid[1:] != uid[:-1])
-                                | (w[1:] != w[:-1])))
-        uid = uid[first]
-        u_first = np.flatnonzero(
-            np.concatenate(([True], uid[1:] != uid[:-1])))
+        uid = uid[run_starts(uid, w)]
+        u_first = np.flatnonzero(run_starts(uid))
         cnt = np.diff(np.append(u_first, len(uid)))
         keep = cnt == n_weeks
         return pa.table({"user_id": pa.array(
             uid[u_first][keep].astype(np.int64))})
 
-    return ds.map_batches(distinct_pairs, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(divide, batch_format="pyarrow")
+    return exchange(ds.map_batches(distinct_pairs, batch_format="pyarrow"),
+                    "user_id", divide, n_buckets)
 
 
 def wow_growth(sf_dir: str) -> ray.data.Dataset:
@@ -2889,19 +2758,11 @@ def order_discount_factor(sf_dir: str) -> ray.data.Dataset:
         unat = np.floor(np.log(1.0 - d) * 1e6).astype(np.int64)
         order = np.argsort(ok, kind="stable")
         ok, unat = ok[order], unat[order]
-        if len(ok) == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "l_orderkey": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        starts = np.flatnonzero(
-            np.concatenate(([True], ok[1:] != ok[:-1])))
+        starts = np.flatnonzero(run_starts(ok))
         s = np.add.reduceat(unat, starts)
         cnt = np.diff(np.concatenate((starts, [len(ok)])))
-        keys = ok[starts]
         return pa.table({
-            "bucket": bucket_of(keys, n_buckets),
-            "l_orderkey": keys.astype(np.int64),
+            "l_orderkey": ok[starts].astype(np.int64),
             "s": s.astype(np.int64), "n": cnt.astype(np.int64)})
 
     def merge(g: pa.Table) -> pa.Table:
@@ -2914,8 +2775,8 @@ def order_discount_factor(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "lineitem"),
                                columns=["l_orderkey", "l_discount"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "l_orderkey", merge, n_buckets)
 
 
 def chi2_type_hour(sf_dir: str) -> pd.DataFrame:
@@ -3011,8 +2872,7 @@ def order_gini(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy()
         u, c = np.unique(ck, return_counts=True)
-        return pa.table({"bucket": bucket_of(u, n_buckets),
-                         "o_custkey": u.astype(np.int64),
+        return pa.table({"o_custkey": u.astype(np.int64),
                          "n": c.astype(np.int64)})
 
     def hist_bucket(g: pa.Table) -> pa.Table:
@@ -3022,10 +2882,10 @@ def order_gini(sf_dir: str) -> pd.DataFrame:
         return pa.table({"n_orders": pa.array(vals.astype(np.int64)),
                          "n_cust": pa.array(cnts.astype(np.int64))})
 
-    hist = ray.data.read_parquet(_p(sf_dir, "orders"),
-                                 columns=["o_custkey"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(hist_bucket, batch_format="pyarrow") \
+    hist = exchange(ray.data.read_parquet(_p(sf_dir, "orders"),
+                                          columns=["o_custkey"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "o_custkey", hist_bucket, n_buckets) \
         .groupby("n_orders").aggregate(Sum("n_cust", alias_name="n_cust")) \
         .to_pandas().sort_values("n_orders")
 
@@ -3075,14 +2935,10 @@ def late_orders(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
         k = li["orderkey"].to_numpy()
         order = np.argsort(k, kind="stable")
         k = k[order]
-        if len(k):
-            starts = np.flatnonzero(
-                np.concatenate(([True], k[1:] != k[:-1])))
-            ms_keys = k[starts]
-            ms_vals = np.maximum.reduceat(
-                li["max_ship"].to_numpy()[order], starts)
-        else:
-            ms_keys, ms_vals = k, k
+        starts = np.flatnonzero(run_starts(k))
+        ms_keys = k[starts]
+        ms_vals = np.maximum.reduceat(li["max_ship"].to_numpy()[order],
+                                      starts)
         o_key = o["orderkey"].to_numpy()
         mapped = np.full(len(o_key), np.iinfo(np.int64).min, np.int64)
         if len(ms_keys):
@@ -3136,12 +2992,9 @@ def user_entropy(sf_dir: str) -> ray.data.Dataset:
         g = pa.TableGroupBy(b.select(["user_id", "event_type"]),
                             ["user_id", "event_type"]).aggregate(
             [("event_type", "count")])
-        g = g.rename_columns(["user_id", "event_type", "c"])
-        uid = g["user_id"].to_numpy()
-        return pa.table({"user_id": uid.astype(np.int64),
+        return pa.table({"user_id": pc.cast(g["user_id"], pa.int64()),
                          "event_type": g["event_type"],
-                         "c": pc.cast(g["c"], pa.int64()),
-                         "bucket": bucket_of(uid, n_buckets)})
+                         "c": pc.cast(g["event_type_count"], pa.int64())})
 
     def entropy_group(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
@@ -3153,11 +3006,11 @@ def user_entropy(sf_dir: str) -> ray.data.Dataset:
             return pa.table({"user_id": pa.array([], pa.int64()),
                              "n_events": pa.array([], pa.int64()),
                              "entropy": pa.array([], pa.float64())})
-        pair_first = np.flatnonzero(np.concatenate(
-            ([True], (uid[1:] != uid[:-1]) | (et[1:] != et[:-1]))))
+        pair_first = np.flatnonzero(run_starts(uid, et))
         c = np.add.reduceat(cv, pair_first).astype(np.float64)
         uid = uid[pair_first]
-        uu, start = np.unique(uid, return_index=True)
+        start = np.flatnonzero(run_starts(uid))
+        uu = uid[start]
         n = np.add.reduceat(c, start)
         p = c / np.repeat(n, np.diff(np.append(start, c.size)))
         terms = p * np.log(p)
@@ -3170,8 +3023,8 @@ def user_entropy(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"),
                                columns=["user_id", "event_type"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(entropy_group, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "user_id", entropy_group, n_buckets)
 
 
 def _skyline_mask(date_us: np.ndarray, cents: np.ndarray) -> np.ndarray:
@@ -3185,9 +3038,7 @@ def _skyline_mask(date_us: np.ndarray, cents: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     order = np.lexsort((-cents, date_us))
     d, p = date_us[order], cents[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = d[1:] != d[:-1]
+    new = run_starts(d)
     gidx = np.cumsum(new) - 1
     gmax = p[np.flatnonzero(new)]  # per-date max (sorted desc in group)
     prev = np.concatenate(([np.iinfo(np.int64).min],
@@ -3351,13 +3202,9 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
         lm = li["max_ship"].to_numpy()
         order = np.lexsort((ls, lo))
         lo, ls, lm = lo[order], ls[order], lm[order]
-        if lo.size:
-            starts_p = np.flatnonzero(np.concatenate(
-                ([True], (lo[1:] != lo[:-1]) | (ls[1:] != ls[:-1]))))
-            lo_p, ls_p = lo[starts_p], ls[starts_p]
-            lm_p = np.maximum.reduceat(lm, starts_p)
-        else:
-            lo_p, ls_p, lm_p = lo, ls, lm
+        starts_p = np.flatnonzero(run_starts(lo, ls))
+        lo_p, ls_p = lo[starts_p], ls[starts_p]
+        lm_p = np.maximum.reduceat(lm, starts_p)
         o_key = o["orderkey"].to_numpy()
         o_od = o["odate"].to_numpy()
         oo = np.argsort(o_key, kind="stable")
@@ -3374,7 +3221,7 @@ def waiting_suppliers(sf_dir: str, grace_days: int = 90) -> ray.data.Dataset:
             return pa.table({"s_suppkey": pa.array([], pa.int64()),
                              "n_waits": pa.array([], pa.int64())})
         late = lm_p > (odate + grace_us)
-        _, start = np.unique(lo_p, return_index=True)
+        start = np.flatnonzero(run_starts(lo_p))
         n_supp = np.diff(np.append(start, lo_p.size))
         n_late = np.add.reduceat(late.astype(np.int64), start)
         qual = (n_supp >= 2) & (n_late == 1)
@@ -3518,15 +3365,6 @@ def events_ewma(sf_dir: str) -> ray.data.Dataset:
     c = EWMA_WEIGHTS
     W = EWMA_WINDOW
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table({
-            "event_id": pa.compute.cast(b["event_id"], pa.int64()),
-            "user_id": uid.astype(np.int64),
-            "ts_us": pa.compute.cast(b["ts"], pa.int64()),
-            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64),
-            "bucket": bucket_of(uid, n_buckets)})
-
     def ewma_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -3550,11 +3388,11 @@ def events_ewma(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"event_id": eid, "user_id": uid, "ts_us": ts,
                          "ewma": ewma})
 
-    return ray.data.read_parquet(
+    ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "ts", "user_id", "value"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(ewma_bucket, batch_format="pyarrow")
+        .map_batches(_events_vm, batch_format="pyarrow")
+    return exchange(ds, "user_id", ewma_bucket, n_buckets)
 
 
 def events_debounce(sf_dir: str, gap_s: int = 86400) -> ray.data.Dataset:
@@ -3576,14 +3414,6 @@ def events_debounce(sf_dir: str, gap_s: int = 86400) -> ray.data.Dataset:
 
     gap_us = int(gap_s) * 1_000_000
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table({
-            "event_id": pa.compute.cast(b["event_id"], pa.int64()),
-            "user_id": uid.astype(np.int64),
-            "ts_us": pa.compute.cast(b["ts"], pa.int64()),
-            "bucket": bucket_of(uid, n_buckets)})
-
     def debounce_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -3595,10 +3425,7 @@ def events_debounce(sf_dir: str, gap_s: int = 86400) -> ray.data.Dataset:
             return pa.table({"event_id": np.empty(0, np.int64),
                              "user_id": np.empty(0, np.int64),
                              "ts_us": np.empty(0, np.int64)})
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(run_starts(uid))
         counts = np.diff(np.concatenate((starts, [n])))
         max_depth = int(counts.max())
         # lockstep over chain depth: user u's j-th event is at
@@ -3617,10 +3444,16 @@ def events_debounce(sf_dir: str, gap_s: int = 86400) -> ray.data.Dataset:
         return pa.table({"event_id": eid[kept], "user_id": uid[kept],
                          "ts_us": ts[kept]})
 
-    return ray.data.read_parquet(
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_id": pc.cast(b["event_id"], pa.int64()),
+            "user_id": pc.cast(b["user_id"], pa.int64()),
+            "ts_us": pc.cast(b["ts"], pa.int64())})
+
+    ds = ray.data.read_parquet(
         _p(sf_dir, "events"), columns=["event_id", "ts", "user_id"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(debounce_bucket, batch_format="pyarrow")
+        .map_batches(project, batch_format="pyarrow")
+    return exchange(ds, "user_id", debounce_bucket, n_buckets)
 
 
 def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
@@ -3638,15 +3471,6 @@ def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
     at alarm)."""
     n_buckets = derive_buckets(f"{sf_dir}/events.parquet", 256)
 
-    def tag(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy()
-        return pa.table({
-            "event_id": pa.compute.cast(b["event_id"], pa.int64()),
-            "user_id": uid.astype(np.int64),
-            "ts_us": pa.compute.cast(b["ts"], pa.int64()),
-            "vm": np.floor(b["value"].to_numpy() * 1e6).astype(np.int64),
-            "bucket": bucket_of(uid, n_buckets)})
-
     def cusum_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy()
         ts = g["ts_us"].to_numpy()
@@ -3661,10 +3485,7 @@ def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
                           "s_micro": np.empty(0, np.int64)})
         if n == 0:
             return empty
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(run_starts(uid))
         counts = np.diff(np.concatenate((starts, [n])))
         s = np.zeros(len(starts), np.int64)  # per-user running CUSUM
         alarm = np.zeros(n, dtype=bool)
@@ -3681,11 +3502,11 @@ def events_cusum(sf_dir: str, drift_micro: int = 80_000_000,
         return pa.table({"event_id": eid[alarm], "user_id": uid[alarm],
                          "ts_us": ts[alarm], "s_micro": s_at[alarm]})
 
-    return ray.data.read_parquet(
+    ds = ray.data.read_parquet(
         _p(sf_dir, "events"),
         columns=["event_id", "ts", "user_id", "value"]) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(cusum_bucket, batch_format="pyarrow")
+        .map_batches(_events_vm, batch_format="pyarrow")
+    return exchange(ds, "user_id", cusum_bucket, n_buckets)
 
 
 def type_affinity(sf_dir: str) -> ray.data.Dataset:
@@ -3706,10 +3527,7 @@ def type_affinity(sf_dir: str) -> ray.data.Dataset:
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"user_id": b["user_id"], "event_type": b["event_type"]})
-        d = pa.TableGroupBy(t, ["user_id", "event_type"]).aggregate([]) \
-            .rename_columns(["user_id", "event_type"])
-        return d.append_column(
-            "bucket", pa.array(bucket_of(d["user_id"].to_numpy(), n_buckets)))
+        return pa.TableGroupBy(t, ["user_id", "event_type"]).aggregate([])
 
     def pairs_bucket(g: pa.Table) -> pa.Table:
         d = pa.TableGroupBy(g.select(["user_id", "event_type"]),
@@ -3724,10 +3542,7 @@ def type_affinity(sf_dir: str) -> ray.data.Dataset:
             return pa.table({"a": pa.array([], pa.string()),
                              "b": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())})
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = uid[1:] != uid[:-1]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(run_starts(uid))
         counts = np.diff(np.concatenate((starts, [n])))
         # ragged pair expansion: types sorted within user -> (a < b)
         pa_list, pb_list = [], []
@@ -3760,10 +3575,8 @@ def type_affinity(sf_dir: str) -> ray.data.Dataset:
         _p(sf_dir, "events"), columns=["user_id", "event_type"]) \
         .map_batches(partial, batch_format="pyarrow")
 
-    pairs = src.groupby("bucket").map_groups(
-        pairs_bucket, batch_format="pyarrow")
-    singles = src.groupby("bucket").map_groups(
-        singles_bucket, batch_format="pyarrow")
+    pairs = exchange(src, "user_id", pairs_bucket, n_buckets)
+    singles = exchange(src, "user_id", singles_bucket, n_buckets)
 
     # bounded finals: pairs of a tiny type vocabulary
     singles_df = singles.to_pandas()

@@ -6,7 +6,9 @@ bounded domain and vectorize within the group. This module is the one
 place that mixing lives so every operator derives buckets the same way
 (never Python hash(), which is salted per process), and the one place
 that sizes layouts: ``layout`` for read blocks and reducers,
-``derive_buckets`` for every op's bucket count. ``cogroup`` and
+``derive_buckets`` for every op's bucket count. ``exchange`` is the
+one way to write a one-input hash-bucket exchange and ``run_starts``
+the one way to write a run scan over sorted keys; ``cogroup`` and
 ``join`` are the one path every two-input equi-join takes.
 """
 
@@ -126,6 +128,19 @@ def derive_buckets(path: str, floor: int) -> int:
                    max(floor, input_bytes(path) // BUCKET_TARGET_BYTES)))
 
 
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Run-boundary mask of rows sorted by ``keys``: True at row 0 and
+    wherever any key differs from the previous row, an empty mask for
+    empty input. ``np.flatnonzero`` of it gives the run starts,
+    ``np.cumsum(mask) - 1`` each row's run id, and OR-ing another
+    break into it (a gap test) splits the runs further."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
 def sum_by_key(key: np.ndarray, *vals: np.ndarray):
     """(unique sorted keys, per-key sums of each val array) via one
     argsort + add.reduceat — the shared Arrow-native bucket-merge
@@ -133,18 +148,45 @@ def sum_by_key(key: np.ndarray, *vals: np.ndarray):
     ints and for floats in the same order)."""
     order = np.argsort(key, kind="stable")
     k = key[order]
-    if len(k) == 0:
-        return (k,) + tuple(v[:0] for v in vals)
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    starts = np.flatnonzero(run_starts(k))
     return (k[starts],) + tuple(np.add.reduceat(v[order], starts)
                                 for v in vals)
+
+
+def exchange(ds, key: str, fn, n_buckets: int):
+    """The one-input hash-bucket exchange: every row goes to bucket
+    ``bucket_of(row[key], n_buckets)`` and ``fn(g) -> pa.Table`` runs
+    once per bucket on all of that bucket's rows (the bucket column
+    included), so a key's rows always meet in one call.
+
+    - The bucket column is appended by its own
+      ``map_batches(batch_format="pyarrow")`` with no ``batch_size``,
+      which Ray fuses into the caller's map: a partial aggregate
+      upstream sees the same batches it would without the tag.
+    - The tag drops the schema metadata. Parquet tables carry pandas
+      metadata, a dict, which makes ``pa.Schema`` unhashable; Ray's
+      ``unify_schemas`` then logs ``Failed to hash the schemas`` in
+      every sort reduce task.
+    - The exchange itself is ``_by_bucket``, shared with ``cogroup``."""
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "bucket", pa.array(bucket_of(b[key].to_numpy(), n_buckets))) \
+            .replace_schema_metadata(None)
+
+    return _by_bucket(ds.map_batches(tag, batch_format="pyarrow"), fn)
+
+
+def _by_bucket(ds, fn):
+    """The exchange strategy, in one place: Ray's sort-based
+    ``groupby("bucket").map_groups``, ``fn`` once per bucket."""
+    return ds.groupby("bucket").map_groups(fn, batch_format="pyarrow")
 
 
 def cogroup(left, right, left_key: str, right_key: str, fn,
             n_buckets: int):
     """Co-group two datasets on an integer equi-key: both sides are
     bucketed by ``bucket_of(key, n_buckets)`` and exchanged together
-    by ONE ``groupby("bucket").map_groups``, which calls
+    by ONE ``_by_bucket`` exchange, which calls
     ``fn(l, r) -> pa.Table`` once per bucket with each side's rows in
     that bucket, as that side's own typed columns. Either side may
     have zero rows in a bucket.
@@ -193,9 +235,10 @@ def cogroup(left, right, left_key: str, right_key: str, fn,
             pa.Table.from_arrays([lt["l:" + f.name] for f in ls], schema=ls),
             pa.Table.from_arrays([rt["r:" + f.name] for f in rs], schema=rs))
 
-    return left.map_batches(tagger(0, left_key), batch_format="pyarrow") \
-        .union(right.map_batches(tagger(1, right_key), batch_format="pyarrow")) \
-        .groupby("bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return _by_bucket(
+        left.map_batches(tagger(0, left_key), batch_format="pyarrow")
+        .union(right.map_batches(tagger(1, right_key), batch_format="pyarrow")),
+        per_bucket)
 
 
 def _coalesced(ds):

@@ -17,6 +17,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (module, op, input): "sf" passes the tier dir, "wp" its webpages path
 OPS = [
     ("relational", "events_sessions", "sf"),
+    ("relational", "user_features", "sf"),
     ("groupops", "group_mode", "sf"),
     ("text", "vocab_topk", "sf"),
     ("webcorpus", "per_source_cap", "sf"),

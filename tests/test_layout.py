@@ -5,7 +5,9 @@ and reducer counts follow the input's on-disk size, never the cluster.
 - the layout never shrinks as the input grows, and never has more
   reducers than read blocks;
 - small inputs get fewer, larger blocks; unsized inputs keep 64;
-- the encoded tiles do not depend on the reducer count.
+- the encoded tiles do not depend on the reducer count;
+- the exchange primitives: ``run_starts`` equals a per-row loop, and
+  ``exchange`` hands each bucket's rows to one call.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from raytiles.util import (MAX_REDUCERS, MIN_BLOCK_BYTES, TARGET_BLOCK_BYTES,
-                           input_bytes, layout)
+                           bucket_of, derive_buckets, exchange, input_bytes,
+                           layout, run_starts)
 
 
 def _sizes() -> list[int]:
@@ -120,3 +123,55 @@ def test_tiles_independent_of_reducer_count(tmp_path):
     assert one[["z", "x", "y"]].equals(wide[["z", "x", "y"]])
     assert (one["mvt"] == wide["mvt"]).all()
     assert (one["n_features"] == wide["n_features"]).all()
+
+
+def _run_starts_loop(*keys) -> np.ndarray:
+    return np.array([i == 0 or any(k[i] != k[i - 1] for k in keys)
+                     for i in range(len(keys[0]))], dtype=bool)
+
+
+@pytest.mark.parametrize("n_keys", [1, 2, 3])
+def test_run_starts_matches_row_loop(n_keys):
+    rng = np.random.default_rng(n_keys)
+    for n in (0, 1, 2, 40, 400):
+        keys = [rng.integers(0, 4, n),
+                rng.choice(np.array(["a", "bb", "c"]), n),
+                rng.integers(-3, 3, n)][:n_keys]
+        order = np.lexsort(keys[::-1])
+        keys = [k[order] for k in keys]
+        want = _run_starts_loop(*keys)
+        for ks in (keys, [k.astype(object) for k in keys]):
+            got = run_starts(*ks)
+            assert got.dtype == bool and len(got) == n
+            assert np.array_equal(got, want)
+    assert run_starts(np.array([5])).tolist() == [True]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exchange_one_call_per_bucket(monkeypatch):
+    """Under RAYTILES_FORCE_BUCKETS=7, fn sees every input row exactly
+    once, tagged with ``bucket_of(key, 7)``, and all rows of a bucket
+    arrive in one call."""
+    import ray
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "7")
+    n_buckets = derive_buckets("no/such/table.parquet", 256)
+    assert n_buckets == 7
+    n = 3000
+    keys = np.arange(n) * 7919 % 211
+    ds = ray.data.from_arrow(
+        pa.table({"k": keys, "row": np.arange(n)})).repartition(5)
+
+    def fn(g: pa.Table) -> pa.Table:
+        b = g["bucket"].to_numpy()
+        return pa.table({
+            "bucket": [int(b[0])],
+            "one_bucket": [bool((b == b[0]).all())],
+            "tagged": [bool((bucket_of(g["k"].to_numpy(), 7) == b).all())],
+            "rows": [g["row"].to_numpy().tolist()]})
+
+    out = exchange(ds, "k", fn, n_buckets).to_pandas()
+    assert out["one_bucket"].all() and out["tagged"].all()
+    assert out["bucket"].is_unique
+    assert set(out["bucket"]) == set(bucket_of(keys, 7).tolist())
+    rows = np.sort(np.concatenate(out["rows"].to_numpy()))
+    assert np.array_equal(rows, np.arange(n))

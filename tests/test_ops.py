@@ -609,13 +609,13 @@ def test_chunk_documents_reassembles_to_original():
         assert words.loc[did] == len(text.split(" "))
 
 
-def test_events_watermark_multibucket_carry():
+def test_events_watermark_multibucket_carry(monkeypatch):
     """Force many id-buckets (ids_per_bucket=256) so the cross-bucket
     broadcast carry path actually runs, and compare against a
     single-process exclusive cummax in arrival order."""
     from raytiles.ops.relational import events_watermark
-    got = events_watermark(SF_SMOKE, ids_per_bucket=256,
-                           n_shuffle=16).to_pandas() \
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "16")
+    got = events_watermark(SF_SMOKE, ids_per_bucket=256).to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     ev = pq.read_table(f"{SF_SMOKE}/events.parquet",
                        columns=["event_id", "ts"]).to_pandas() \
@@ -637,7 +637,7 @@ def test_events_watermark_multibucket_carry():
     assert got["is_late"].sum() == 0
 
 
-def test_events_watermark_late_flag_fires(tmp_path):
+def test_events_watermark_late_flag_fires(tmp_path, monkeypatch):
     """Synthetic out-of-order arrivals: planted stragglers (ts far
     behind the running max) must flag late; carry crosses buckets."""
     import pyarrow as pa
@@ -653,8 +653,9 @@ def test_events_watermark_late_flag_fires(tmp_path):
         "event_id": pa.array(np.arange(n, dtype=np.int64)),
         "ts": pa.array(ts, pa.timestamp("us"))})
     _pq.write_table(tab, tmp_path / "events.parquet")
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "8")
     got = events_watermark(str(tmp_path), lateness_s=300,
-                           ids_per_bucket=128, n_shuffle=8).to_pandas() \
+                           ids_per_bucket=128).to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     wm = np.concatenate([[np.iinfo(np.int64).min],
                          np.maximum.accumulate(ts)[:-1]])
@@ -900,13 +901,14 @@ def test_hll_sketch_column_estimate_parity_and_union():
     assert abs(int(u["n_users_est"][0]) - exact) <= 5 * 1.04 / np.sqrt(m) * exact + 3
 
 
-def test_events_range_window_tiny_buckets_exercise_halo():
+def test_events_range_window_tiny_buckets_exercise_halo(monkeypatch):
     """Force many small time buckets (bucket_s=600 vs range_s=300) so
     halo replication carries most windows across bucket edges; compare
     against a single-process sorted searchsorted recompute."""
     from raytiles.ops.relational import events_range_window
-    got = events_range_window(SF_SMOKE, range_s=300, bucket_s=600,
-                              n_shuffle=16).to_pandas() \
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "16")
+    got = events_range_window(SF_SMOKE, range_s=300,
+                              bucket_s=600).to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     ev = pq.read_table(f"{SF_SMOKE}/events.parquet",
                        columns=["event_id", "ts"]).to_pandas()

@@ -12,11 +12,15 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHA_PATH = os.path.join(REPO, "RESULTS_SHA.json")
 SF = "/root/testdata/sf0.01"
 
-# ten cheap, shape-diverse queries (relational, window, text, dedup,
-# geo, sketch families)
+# cheap, shape-diverse queries (relational, window, text, dedup, geo,
+# sketch families); the last five cover util.exchange / run_starts: a
+# float partial merge, a row exchange, multi-key run scans, an exchange
+# into one merge, and two exchanges of one partial
 SPOT = ["pricing_summary", "top_customers", "events_hourly",
         "events_asof", "props_extract", "hdr_quantiles", "exact_dedup",
-        "minhash_bands", "tile_counts", "char_trigrams"]
+        "minhash_bands", "tile_counts", "char_trigrams",
+        "user_features", "funnel_conversion", "events_ohlc",
+        "event_transitions", "type_affinity"]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -228,6 +228,58 @@ def test_one_join_path():
     assert not offenders, offenders
 
 
+# relational functions that keep their own exchange, and why
+# (CHANGES.md names the same sites)
+RELATIONAL_OWN_EXCHANGE = {
+    "order_price_ranks": "range partition on sampled splits, not a hash "
+                         "of one key column",
+}
+
+
+def test_relational_exchanges_on_util():
+    """Convention guard (CLAUDE.md): in raytiles/ops/relational.py every
+    one-input hash-bucket exchange is ``util.exchange`` and every run
+    scan is ``util.run_starts``. Fails on a ``groupby("bucket")`` /
+    ``groupby("shard")`` call or a hand-written ``k[1:] != k[:-1]``
+    (or ``==``, either order) scan outside the functions in
+    RELATIONAL_OWN_EXCHANGE."""
+    import ast
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parent.parent \
+        / "raytiles" / "ops" / "relational.py"
+
+    def bounds(s):
+        """(lower, upper) source of a step-less slice subscript."""
+        sl = s.slice if isinstance(s, ast.Subscript) else None
+        if not (isinstance(sl, ast.Slice) and sl.step is None):
+            return None
+        return tuple(ast.unparse(e) if e else None
+                     for e in (sl.lower, sl.upper))
+
+    def is_scan(node):
+        if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.NotEq, ast.Eq))):
+            return False
+        pair = {bounds(node.left), bounds(node.comparators[0])}
+        return pair == {("1", None), (None, "-1")}
+
+    offenders = []
+    for top in ast.parse(path.read_text()).body:
+        if not isinstance(top, ast.FunctionDef) \
+                or top.name in RELATIONAL_OWN_EXCHANGE:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "groupby" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value in ("bucket", "shard")):
+                offenders.append(f"{top.name}:{node.lineno} groupby")
+            if is_scan(node):
+                offenders.append(f"{top.name}:{node.lineno} run scan")
+    assert not offenders, offenders
+
+
 def test_derive_buckets_scaling(tmp_path, monkeypatch):
     """Bucket-count derivation: floor at small inputs (historical
     layouts unchanged), linear in input bytes past the floor, capped,
