@@ -6,21 +6,22 @@ Scale shape (100 TB), per the repo's shuffle discipline (bounded
 bucket keys, no driver materialization):
 
 - exact dedup: per-batch partial dedup (one row per distinct hash per
-  batch), then ONE groupby on a 512-bucket key with a vectorized
-  within-bucket merge — never a groupby on the md5 itself (one group
-  per distinct doc = per-group scheduling death at 10^12 keys);
+  batch), then ONE 512-bucket exchange (``util.exchange``) on the
+  hash with a vectorized within-bucket merge — never a groupby on the
+  md5 itself (one group per distinct doc = per-group scheduling death
+  at 10^12 keys);
 - MinHash: whole-batch vectorized kernel — all shingles of a batch
   are hashed once (md5 of the deduped shingle set), permutations are
   xor'd in one (n_shingles, n_hashes) broadcast, signatures come from
   np.minimum.reduceat over per-doc segments;
-- LSH candidate pairs: band rows shuffle once on a bounded bucket of
-  (band_id, band_hash); within a bucket the same-signature groups are
+- LSH candidate pairs: band rows exchange once on band_hash into
+  bounded buckets; within a bucket the same-signature groups are
   paired by a vectorized self-merge (capped at MAX_BAND_GROUP docs per
   signature — pair output is inherently quadratic in a duplicate
   cluster's size, so enumeration is bounded; the truncated groups are
   SURFACED by minhash_band_overflow, and the SQL oracle mirrors the
   cap so both stay exact twins); pair-distinct is a second
-  bounded-bucket groupby with a vectorized drop_duplicates, not a
+  bounded exchange on doc_a with a vectorized drop_duplicates, not a
   per-pair map_groups;
 - Jaccard verify: DISTRIBUTED equi-joins on the bounded bucket
   exchange (util.join) of candidate pairs against per-doc shingle-hash
@@ -46,7 +47,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, join, pair_key, sum_by_key
+from ..util import cogroup, exchange, join, run_starts, sum_by_key
 from .text import TOKEN_RE
 
 # fixed xor constants deriving the i-th minhash permutation from one md5
@@ -90,9 +91,9 @@ def exact_dedup(sf_dir: str, normalize: bool = False) -> ray.data.Dataset:
     the zero-copy md5-over-buffer path below is unchanged.
 
     Two-phase: the per-batch partial collapses duplicates within the
-    batch (shuffle moves one 32-byte hex + 16 bytes per DISTINCT doc
-    per batch, never the text), then one bounded 512-bucket groupby
-    merges with a vectorized pandas groupby — no per-hash Python
+    batch (shuffle moves one 32-byte hex + 24 bytes per DISTINCT doc
+    per batch, never the text), then one bounded 512-bucket exchange
+    on the hash merges with a vectorized pandas groupby — no per-hash Python
     calls, no unbounded-key shuffle."""
     def partial(b: pa.Table) -> pa.Table:
         # md5 over each row's UTF-8 slice of the Arrow values buffer —
@@ -125,16 +126,16 @@ def exact_dedup(sf_dir: str, normalize: bool = False) -> ray.data.Dataset:
             np.uint64, count=uniq.size)
         return pa.table({"h": pa.array(uniq, pa.string()),
                          "doc_id": doc_min, "n": n,
-                         "bucket": bucket_of(hk, N_DEDUP_BUCKETS)})
+                         "hk": hk.view(np.int64)})
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         out = pa.TableGroupBy(g.select(["h", "doc_id", "n"]), "h").aggregate(
             [("doc_id", "min"), ("n", "sum")])
         return out.rename_columns(["h", "doc_id", "n_dups"])
 
-    return _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return exchange(_docs(sf_dir, ["doc_id", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "hk", merge_bucket, N_DEDUP_BUCKETS)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +215,11 @@ def minhash_bands(sf_dir: str) -> ray.data.Dataset:
 
 def minhash_pairs(sf_dir: str) -> ray.data.Dataset:
     """Distinct candidate near-dup pairs (doc_a < doc_b) sharing any
-    LSH band bucket. Shuffle discipline: band rows group on a bounded
-    512-bucket mix of (band_id, band_hash); same-signature groups pair
+    LSH band bucket. Shuffle discipline: band rows exchange on
+    band_hash into N_PAIR_BUCKETS buckets; same-signature groups pair
     via a vectorized self-merge (capped at MAX_BAND_GROUP docs per
-    signature); cross-band pair-distinct is a second bounded-bucket
-    groupby with drop_duplicates — never a per-pair map_groups."""
-    bands = minhash_bands(sf_dir)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        key = pair_key(b["band_hash"].to_numpy().astype(np.int64),
-                       b["band_id"].to_numpy())
-        return b.append_column(
-            "bucket", pa.array(bucket_of(key, N_PAIR_BUCKETS)))
+    signature); cross-band pair-distinct is a second bounded exchange
+    on doc_a with drop_duplicates — never a per-pair map_groups."""
 
     def pairs_in_bucket(g: pa.Table) -> pa.Table:
         band = g["band_id"].to_numpy()
@@ -235,14 +229,7 @@ def minhash_pairs(sf_dir: str) -> ray.data.Dataset:
         order = np.lexsort((doc, bh, band))
         band, bh, doc = band[order], bh[order], doc[order]
         n = len(doc)
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "bucket2": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
-        first = np.concatenate(
-            ([True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])))
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(band, bh))
         sizes = np.diff(np.append(starts, n))
         # cap each signature group at its MAX_BAND_GROUP smallest docs
         offs = np.arange(n) - np.repeat(starts, sizes)
@@ -253,42 +240,28 @@ def minhash_pairs(sf_dir: str) -> ray.data.Dataset:
         # o pairs with the (size-1-o) elements after it
         reps = np.repeat(sizes, sizes) - 1 - offs
         a_idx = np.repeat(np.arange(len(doc)), reps)
-        if len(a_idx) == 0:
-            return empty
+        if len(a_idx) == 0:  # every group a singleton
+            return distinct(a_idx, a_idx)
         run_pos = np.arange(len(a_idx)) - np.repeat(
             np.concatenate(([0], np.cumsum(reps)[:-1])), reps)
         b_idx = a_idx + 1 + run_pos
-        doc_a, doc_b = doc[a_idx], doc[b_idx]
         # pair-distinct within the bucket (same pair can arise from
-        # several signatures): lexsort + first-flag, exact
-        po = np.lexsort((doc_b, doc_a))
-        doc_a, doc_b = doc_a[po], doc_b[po]
-        pf = np.concatenate(([True], (doc_a[1:] != doc_a[:-1])
-                             | (doc_b[1:] != doc_b[:-1])))
-        doc_a, doc_b = doc_a[pf].astype(np.int64), doc_b[pf].astype(np.int64)
-        return pa.table({
-            "doc_a": pa.array(doc_a), "doc_b": pa.array(doc_b),
-            "bucket2": pa.array(bucket_of(pair_key(doc_a, doc_b),
-                                          N_PAIR_BUCKETS))})
+        # several signatures), then again across buckets: exact
+        return distinct(doc[a_idx], doc[b_idx])
 
-    def distinct_bucket(g: pa.Table) -> pa.Table:
-        doc_a = g["doc_a"].to_numpy()
-        doc_b = g["doc_b"].to_numpy()
-        if len(doc_a) == 0:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64())})
+    def distinct(doc_a: np.ndarray, doc_b: np.ndarray) -> pa.Table:
         po = np.lexsort((doc_b, doc_a))
         doc_a, doc_b = doc_a[po], doc_b[po]
-        pf = np.concatenate(([True], (doc_a[1:] != doc_a[:-1])
-                             | (doc_b[1:] != doc_b[:-1])))
+        pf = run_starts(doc_a, doc_b)
         return pa.table({"doc_a": pa.array(doc_a[pf].astype(np.int64)),
                          "doc_b": pa.array(doc_b[pf].astype(np.int64))})
 
-    return bands.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pyarrow") \
-        .groupby("bucket2").map_groups(distinct_bucket,
-                                       batch_format="pyarrow")
+    def distinct_bucket(g: pa.Table) -> pa.Table:
+        return distinct(g["doc_a"].to_numpy(), g["doc_b"].to_numpy())
+
+    pairs = exchange(minhash_bands(sf_dir), "band_hash", pairs_in_bucket,
+                     N_PAIR_BUCKETS)
+    return exchange(pairs, "doc_a", distinct_bucket, N_PAIR_BUCKETS)
 
 
 _PAIRS_CACHE: dict[str, "ray.data.Dataset"] = {}
@@ -312,8 +285,8 @@ def minhash_band_overflow(sf_dir: str) -> ray.data.Dataset:
     the groups whose pair enumeration minhash_pairs truncates — with
     the doc count and how many docs were truncated. Shuffle shape:
     per-batch partial counts per (band_id, band_hash) collapse first,
-    then ONE bounded-bucket groupby sums and filters (the same
-    bucketing as minhash_pairs, so a group's rows meet exactly once).
+    then ONE bounded exchange on band_hash sums and filters (the same
+    exchange as minhash_pairs, so a group's rows meet exactly once).
     SQL twin: oracles.minhash_overflow_sql."""
     bands = minhash_bands(sf_dir)
 
@@ -322,11 +295,7 @@ def minhash_band_overflow(sf_dir: str) -> ray.data.Dataset:
                                ["band_id", "band_hash"]).aggregate(
             [([], "count_all")])
         part = part.rename_columns(["band_id", "band_hash", "n"])
-        bucket = bucket_of(
-            pair_key(part["band_hash"].to_numpy().astype(np.int64),
-                     part["band_id"].to_numpy()), N_PAIR_BUCKETS)
-        return part.set_column(2, "n", pc.cast(part["n"], pa.int64())) \
-            .append_column("bucket", pa.array(bucket))
+        return part.set_column(2, "n", pc.cast(part["n"], pa.int64()))
 
     def merge(g: pa.Table) -> pa.Table:
         band = g["band_id"].to_numpy()
@@ -334,13 +303,7 @@ def minhash_band_overflow(sf_dir: str) -> ray.data.Dataset:
         nn = g["n"].to_numpy()
         order = np.lexsort((bh, band))
         band, bh, nn = band[order], bh[order], nn[order]
-        if len(band) == 0:
-            return pa.table({"band_id": pa.array([], pa.int64()),
-                             "band_hash": pa.array([], pa.int64()),
-                             "n_docs": pa.array([], pa.int64()),
-                             "n_truncated": pa.array([], pa.int64())})
-        starts = np.flatnonzero(np.concatenate(
-            ([True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1]))))
+        starts = np.flatnonzero(run_starts(band, bh))
         tot = np.add.reduceat(nn, starts)
         band, bh = band[starts], bh[starts]
         keep = tot > MAX_BAND_GROUP
@@ -351,8 +314,8 @@ def minhash_band_overflow(sf_dir: str) -> ray.data.Dataset:
             "n_truncated": pa.array(
                 (tot[keep] - MAX_BAND_GROUP).astype(np.int64))})
 
-    return bands.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(bands.map_batches(partial, batch_format="pyarrow"),
+                    "band_hash", merge, N_PAIR_BUCKETS)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +451,15 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
     Distributed min-label propagation (no Dataset primitive exists):
     labels start as identity; each round ships labels onto the
     bidirectional edge set with one bucket-exchange join (util.join),
-    then a bounded-bucket groupby takes each node's min over (own label,
-    neighbours' labels). Labels only ever DECREASE, so sum(label) is
+    then a bounded exchange on doc_id takes each node's min over (own
+    label, neighbours' labels). Labels only ever DECREASE, so sum(label) is
     a monotone convergence metric checked driver-side per round
     (one scalar — never the labels themselves). Rounds needed =
     component diameter; LSH components are near-cliques, so 2-3.
     Non-convergence within max_rounds raises — never a silent
     truncation. At 10^12 docs every step stays bounded: edges and
-    labels are O(dup docs), and the join's and the groupby's keys are
-    512-bucket hashes."""
+    labels are O(dup docs), and the join and the exchange both run on
+    512 hash buckets."""
     if sf_dir in _CLUSTERS_CACHE:
         return _CLUSTERS_CACHE[sf_dir]
     pairs = candidate_pairs(sf_dir)
@@ -515,9 +478,7 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
 
     def node_partial(t: pa.Table) -> pa.Table:
         u = np.unique(t["src"].to_numpy()).astype(np.int64)
-        return pa.table({"doc_id": u, "label": u,
-                         "bucket": bucket_of(u.astype(np.uint64),
-                                             N_DEDUP_BUCKETS)})
+        return pa.table({"doc_id": u, "label": u})
 
     def label_merge(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy()
@@ -527,13 +488,8 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
         np.minimum.at(lab_min, inv, lab)
         return pa.table({"doc_id": uniq.astype(np.int64), "label": lab_min})
 
-    def add_node_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket", pa.array(bucket_of(
-            t["doc_id"].to_numpy().astype(np.uint64), N_DEDUP_BUCKETS)))
-
-    labels = edges.map_batches(node_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-        .materialize()
+    labels = exchange(edges.map_batches(node_partial, batch_format="pyarrow"),
+                      "doc_id", label_merge, N_DEDUP_BUCKETS).materialize()
     prev_sum = labels.sum("label")
 
     for _ in range(max_rounds):
@@ -545,9 +501,8 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
         cand = labels.map_batches(
             lambda t: t.select(["doc_id", "label"]), batch_format="pyarrow") \
             .union(j.map_batches(msg, batch_format="pyarrow"))
-        labels = cand.map_batches(add_node_bucket, batch_format="pyarrow") \
-            .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-            .materialize()
+        labels = exchange(cand, "doc_id", label_merge,
+                          N_DEDUP_BUCKETS).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break
@@ -568,37 +523,28 @@ def dup_clusters(sf_dir: str, max_rounds: int = 16) -> ray.data.Dataset:
 
 def dedup_survivors(sf_dir: str) -> ray.data.Dataset:
     """doc_ids that survive near-dup collapse: every doc except the
-    non-minimum members of each dup_clusters component. One bounded-
-    bucket groupby over the union of (all docs, flag 0) and (cluster
-    losers, flag 1) — no join, no driver-side set."""
-    clusters = dup_clusters(sf_dir)
+    non-minimum members of each dup_clusters component. An anti-join
+    of all docs against the cluster losers on one bounded ``cogroup``
+    on doc_id — no driver-side set."""
+    def doc_ids(t: pa.Table) -> pa.Table:
+        # a new table: the parquet read's pandas schema metadata would
+        # make the co-group's block merge log "Failed to hash"
+        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64())})
 
     def losers(t: pa.Table) -> pa.Table:
-        keep = pc.not_equal(t["doc_id"], t["cluster_id"])
-        sub = t.filter(keep)
-        ids = sub["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({"doc_id": ids, "dropped": np.ones(ids.size, np.int64),
-                         "bucket": bucket_of(ids.astype(np.uint64),
-                                             N_DEDUP_BUCKETS)})
+        return t.filter(pc.not_equal(t["doc_id"], t["cluster_id"])) \
+            .select(["doc_id"])
 
-    def all_docs(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({"doc_id": ids, "dropped": np.zeros(ids.size, np.int64),
-                         "bucket": bucket_of(ids.astype(np.uint64),
-                                             N_DEDUP_BUCKETS)})
+    def survivors(docs: pa.Table, lost: pa.Table) -> pa.Table:
+        ids = np.unique(docs["doc_id"].to_numpy())
+        return pa.table(
+            {"doc_id": ids[~np.isin(ids, lost["doc_id"].to_numpy())]})
 
-    def keep_survivors(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy()
-        dropped = g["dropped"].to_numpy()
-        uniq, inv = np.unique(ids, return_inverse=True)
-        mx = np.zeros(uniq.size, np.int64)
-        np.maximum.at(mx, inv, dropped)
-        return pa.table({"doc_id": uniq[mx == 0].astype(np.int64)})
-
-    docs = _docs(sf_dir, ["doc_id"]).map_batches(
-        all_docs, batch_format="pyarrow")
-    return docs.union(clusters.map_batches(losers, batch_format="pyarrow")) \
-        .groupby("bucket").map_groups(keep_survivors, batch_format="pyarrow")
+    return cogroup(
+        _docs(sf_dir, ["doc_id"]).map_batches(doc_ids,
+                                              batch_format="pyarrow"),
+        dup_clusters(sf_dir).map_batches(losers, batch_format="pyarrow"),
+        "doc_id", "doc_id", survivors, N_DEDUP_BUCKETS)
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +559,13 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
     in proportion to the copied span.
 
     Fully bounded: per-batch partials emit one row per DISTINCT
-    (doc, shingle-hash) — the text never shuffles — then TWO bounded
-    512-bucket groupbys: (1) by splitmix(h): within a bucket every
-    occurrence of a hash is present (hash-partitioned), so "appears in
-    >= 2 docs" is a vectorized per-group transform, collapsed to
-    per-doc partial counts before leaving the bucket; (2) by
-    splitmix(doc_id): merges each doc's per-bucket partials into its
-    final counts. Shuffle payload: 24 B per distinct (doc, shingle)
+    (doc, shingle-hash) — the text never shuffles — then TWO chained
+    512-bucket exchanges (``util.exchange``): (1) on h: within a
+    bucket every occurrence of a hash is present (hash-partitioned), so
+    "appears in >= 2 docs" is a vectorized per-group transform,
+    collapsed to per-doc partial counts before leaving the bucket; (2)
+    on doc_id: merges each doc's per-bucket partials into its final
+    counts. Shuffle payload: 24 B per distinct (doc, shingle)
     for phase 1, 32 B per (doc, bucket) for phase 2."""
     def partial(b: pa.Table) -> pa.Table:
         doc_ids = b["doc_id"].to_numpy().astype(np.int64)
@@ -627,8 +573,7 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
         counts = np.array([len(s) for s in sh_lists], dtype=np.int64)
         if counts.sum() == 0:
             return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "h": pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int64())})
+                             "h": pa.array([], pa.int64())})
         flat = np.array([s for lst in sh_lists for s in lst], dtype=object)
         uniq, inv = np.unique(flat, return_inverse=True)
         h = _md5_u64(uniq)[inv]
@@ -637,12 +582,9 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
         # in-batch distinct IS global distinct
         order = np.lexsort((h, didx))
         ds_, hs_ = didx[order], h[order]
-        first = np.ones(hs_.size, dtype=bool)
-        first[1:] = (ds_[1:] != ds_[:-1]) | (hs_[1:] != hs_[:-1])
-        ds_, hs_ = ds_[first], hs_[first]
-        return pa.table({"doc_id": pa.array(doc_ids[ds_]),
-                         "h": pa.array(hs_.view(np.int64)),
-                         "bucket": pa.array(bucket_of(hs_, N_DEDUP_BUCKETS))})
+        first = run_starts(ds_, hs_)
+        return pa.table({"doc_id": pa.array(doc_ids[ds_[first]]),
+                         "h": pa.array(hs_[first].view(np.int64))})
 
     def count_bucket(g: pa.Table) -> pa.Table:
         # rows are distinct (doc, h); per-h row count == distinct-doc
@@ -651,8 +593,7 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
         doc = g["doc_id"].to_numpy()
         ho = np.argsort(h, kind="stable")
         hs = h[ho]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], hs[1:] != hs[:-1]))) if len(hs) else np.empty(0, np.int64)
+        starts = np.flatnonzero(run_starts(hs))
         sizes = np.diff(np.append(starts, len(hs)))
         n_docs = np.empty(len(hs), np.int64)
         n_docs[ho] = np.repeat(sizes, sizes)
@@ -663,9 +604,7 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
         return pa.table({
             "doc_id": pa.array(k.astype(np.int64)),
             "n_sh": pa.array(n_sh.astype(np.int64)),
-            "n_dup": pa.array(n_dup.astype(np.int64)),
-            "obucket": pa.array(bucket_of(k.astype(np.uint64),
-                                          N_DEDUP_BUCKETS))})
+            "n_dup": pa.array(n_dup.astype(np.int64))})
 
     def merge_doc(g: pa.Table) -> pa.Table:
         doc = g["doc_id"].to_numpy()
@@ -678,7 +617,7 @@ def dup_spans(sf_dir: str) -> ray.data.Dataset:
             "n_shingles": pa.array(n_sh), "n_dup": pa.array(n_dup),
             "dup_ppm": pa.array(n_dup * 1_000_000 // n_sh)})
 
-    return _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(count_bucket, batch_format="pyarrow") \
-        .groupby("obucket").map_groups(merge_doc, batch_format="pyarrow")
+    parts = _docs(sf_dir, ["doc_id", "text"]) \
+        .map_batches(partial, batch_format="pyarrow")
+    return exchange(exchange(parts, "h", count_bucket, N_DEDUP_BUCKETS),
+                    "doc_id", merge_doc, N_DEDUP_BUCKETS)

@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..util import bucket_of, derive_buckets, splitmix64
+from ..util import derive_buckets, exchange, run_starts, splitmix64
 from .relational import _fq
 
 _HLL_BUCKETS = 64  # register-merge buckets of the HLL chain
@@ -41,11 +41,7 @@ def _hll_rows(sf_dir: str, p: int) -> ray.data.Dataset:
     def _max_per_key(key: np.ndarray, rank: np.ndarray):
         order = np.argsort(key, kind="stable")
         k, r = key[order], rank[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], k[1:] != k[:-1]))) if len(k) else \
-            np.empty(0, np.int64)
-        if len(k) == 0:
-            return k, r
+        starts = np.flatnonzero(run_starts(k))
         return k[starts], np.maximum.reduceat(r, starts)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -62,8 +58,7 @@ def _hll_rows(sf_dir: str, p: int) -> ray.data.Dataset:
         return pa.table({
             "event_type": pa.array(codes[ku // m]),
             "reg": ku % m,
-            "rank": mx,
-            "bucket": (ku % m) % _HLL_BUCKETS})
+            "rank": mx})
 
     def merge(g: pa.Table) -> pa.Table:
         et = np.asarray(g["event_type"])
@@ -75,8 +70,8 @@ def _hll_rows(sf_dir: str, p: int) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "user_id"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "reg", merge, _HLL_BUCKETS)
 
 
 def approx_distinct_users(sf_dir: str, p: int = 12) -> ray.data.Dataset:
@@ -87,9 +82,10 @@ def approx_distinct_users(sf_dir: str, p: int = 12) -> ray.data.Dataset:
     register index (top p bits) and a rank (leading-zero count of the
     remaining 64-p bits, +1), and collapse to the per-(event_type,
     register) max — one argsort + maximum.reduceat, no Python loop.
-    Shuffle: registers hash-partition into a bounded bucket key; the
-    per-bucket merge is the same max-reduce (register max is
-    associative+commutative, so partial order never matters).
+    Shuffle: registers hash-partition into _HLL_BUCKETS buckets
+    (``util.exchange`` on the register index); the per-bucket merge is
+    the same max-reduce (register max is associative+commutative, so
+    partial order never matters).
     Finalize: ONE bounded groupby over event_type computes the HLL
     estimate from its <= m register rows (absent registers count as
     rank 0 in the harmonic sum)."""
@@ -152,22 +148,21 @@ def heavy_hitters(sf_dir: str, k: int = 64) -> ray.data.Dataset:
         if t.num_rows == 0:
             return pa.table({"token": pa.array([], pa.string()),
                              "cnt": pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.int64())})
+                             "h": pa.array([], pa.int64())})
         tok, cnt = np.unique(np.asarray(t["token"]), return_counts=True)
         h = np.fromiter(
             (int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
              for s in tok), dtype=np.uint64, count=len(tok))
         return pa.table({"token": pa.array(tok.tolist(), pa.string()),
                          "cnt": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(
-                             bucket_of(h, n_buckets).astype(np.int64))})
+                         "h": pa.array(h.view(np.int64))})
 
     def bucket_compress(g: pa.Table) -> pa.Table:
         tok = np.asarray(g["token"])
         cnt = g["cnt"].to_numpy()
         order = np.argsort(tok, kind="stable")
         ts, cs = tok[order], cnt[order]
-        starts = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))
+        starts = np.flatnonzero(run_starts(ts))
         utok, ucnt = ts[starts], np.add.reduceat(cs, starts)
         utok, ucnt = _mg(utok, ucnt, k)
         return pa.table({"token": pa.array(utok.tolist(), pa.string()),
@@ -183,10 +178,10 @@ def heavy_hitters(sf_dir: str, k: int = 64) -> ray.data.Dataset:
             "token": pa.array(tok[order].tolist(), pa.string()),
             "est_cnt": pa.array(cnt[order].astype(np.int64))})
 
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_compress, batch_format="pyarrow") \
+    parts = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                  columns=["doc_id", "text"]) \
+        .map_batches(partial, batch_format="pyarrow")
+    return exchange(parts, "h", bucket_compress, n_buckets) \
         .groupby("g").map_groups(final, batch_format="pyarrow")
 
 
@@ -219,9 +214,7 @@ def hdr_quantiles(sf_dir: str, qs=(0.5, 0.95, 0.99),
         t = pa.table({"flag": b["l_returnflag"], "bin_key": pa.array(bin_key)})
         g = pa.TableGroupBy(t, ["flag", "bin_key"]).aggregate(
             [("bin_key", "count")])
-        g = g.rename_columns(["flag", "bin_key", "n"])
-        return g.append_column(
-            "bucket", pa.array(g["bin_key"].to_numpy() % 64))
+        return g.rename_columns(["flag", "bin_key", "n"])
 
     def bucket_merge(g: pa.Table) -> pa.Table:
         t = pa.TableGroupBy(g.select(["flag", "bin_key", "n"]),
@@ -237,11 +230,10 @@ def hdr_quantiles(sf_dir: str, qs=(0.5, 0.95, 0.99),
         flag, key, n = flag[order], key[order], n[order]
         # merge duplicate (flag, bin_key) partials, then per-flag scan
         out_f, out_q, out_e = [], [], []
-        starts = np.flatnonzero(np.concatenate(
-            ([True], (flag[1:] != flag[:-1]))))
+        starts = np.flatnonzero(run_starts(flag))
         for s, e_ in zip(starts, np.concatenate((starts[1:], [len(n)]))):
             k_, n_ = key[s:e_], n[s:e_]
-            ks = np.flatnonzero(np.concatenate(([True], k_[1:] != k_[:-1])))
+            ks = np.flatnonzero(run_starts(k_))
             ku, nu = k_[ks], np.add.reduceat(n_, ks)
             cum = np.cumsum(nu)
             tot = cum[-1]
@@ -258,11 +250,11 @@ def hdr_quantiles(sf_dir: str, qs=(0.5, 0.95, 0.99),
             "q": pa.array(out_q, pa.float64()),
             "est_cents": pa.array(np.array(out_e, np.int64))})
 
-    return ray.data.read_parquet(
+    parts = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_merge, batch_format="pyarrow") \
+        .map_batches(partial, batch_format="pyarrow")
+    return exchange(parts, "bin_key", bucket_merge, 64) \
         .groupby("g").map_groups(final, batch_format="pyarrow")
 
 
@@ -378,11 +370,8 @@ def kmv_distinct(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         src_np = np.asarray(t["source"])
         order = np.lexsort((signed, src_np))
         src_s, sig_s = src_np[order], signed[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], src_s[1:] != src_s[:-1]))) if len(src_s) else \
-            np.zeros(0, np.int64)
-        ends = np.concatenate((starts[1:], [len(src_s)])) if len(src_s) \
-            else starts
+        starts = np.flatnonzero(run_starts(src_s))
+        ends = np.append(starts[1:], len(src_s))
         keep = np.zeros(len(src_s), dtype=bool)
         for s, e in zip(starts, ends):  # bounded: one iteration per source
             keep[s:min(s + k, e)] = True
@@ -399,11 +388,8 @@ def kmv_distinct(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         src, sig = src[first], sig[first]
         order = np.lexsort((sig, src))
         src, sig = src[order], sig[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], src[1:] != src[:-1]))) if len(src) else \
-            np.zeros(0, np.int64)
-        ends = np.concatenate((starts[1:], [len(src)])) if len(src) \
-            else starts
+        starts = np.flatnonzero(run_starts(src))
+        ends = np.append(starts[1:], len(src))
         out_src, out_frac, out_est = [], [], []
         for s, e in zip(starts, ends):
             if e - s < k:

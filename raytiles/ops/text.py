@@ -15,7 +15,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, cached_ref, derive_buckets
+from ..util import cached_ref, derive_buckets, exchange, run_starts
 
 TOKEN_RE = r"[0-9A-Za-z_]+"
 STOP_RE = r"\b(?:the|a|of|and|to)\b"
@@ -244,16 +244,16 @@ def vocab_topk(sf_dir: str, k: int = 100) -> ray.data.Dataset:
     Per-batch partial: tokenize (Arrow RE2), collapse to per-token
     (df, tf) partials with two C++ hash-aggregates (docs never split
     across batches, so per-batch distinct (doc, token) is globally
-    exact), and md5-hash the DISTINCT tokens into a bounded bucket
-    key.  ONE bounded groupby merges per-token partials and keeps each
-    bucket's top-k, so the driver-side sort sees <= k x n_buckets
-    rows no matter the corpus vocabulary size."""
+    exact), and md5-hash the DISTINCT tokens.  ONE bounded exchange on
+    that hash merges per-token partials and keeps each bucket's top-k,
+    so the driver-side sort sees <= k x n_buckets rows no matter the
+    corpus vocabulary size."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
 
     _EMPTY = pa.schema([("token", pa.string()), ("df", pa.int64()),
-                        ("tf", pa.int64()), ("bucket", pa.int64())])
+                        ("tf", pa.int64()), ("h", pa.int64())])
 
     def partial(b: pa.Table) -> pa.Table:
         t = _tokens_table(b)
@@ -271,7 +271,7 @@ def vocab_topk(sf_dir: str, k: int = 100) -> ray.data.Dataset:
             "token": per_tok["token"],
             "df": pc.cast(per_tok["df"], pa.int64()),
             "tf": pc.cast(per_tok["tf"], pa.int64()),
-            "bucket": pa.array(bucket_of(h, n_buckets))})
+            "h": pa.array(h.view(np.int64))})
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["token", "df", "tf"]), "token") \
@@ -282,9 +282,9 @@ def vocab_topk(sf_dir: str, k: int = 100) -> ray.data.Dataset:
                          "df": pc.cast(m["df"].slice(0, k), pa.int64()),
                          "tf": pc.cast(m["tf"].slice(0, k), pa.int64())})
 
-    topn = _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    topn = exchange(_docs(sf_dir, ["doc_id", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "h", merge_bucket, n_buckets)
     return topn.sort(["df", "token"], descending=[True, False]).limit(k)
 
 
@@ -305,12 +305,10 @@ def doc_top_terms(sf_dir: str, k: int = 5) -> ray.data.Dataset:
         tf = tf.sort_by([("doc_id", "ascending"), ("tf", "descending"),
                          ("token", "ascending")])
         doc = tf["doc_id"].to_numpy()
-        n = len(doc)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = doc[1:] != doc[:-1]
+        new = run_starts(doc)
         starts = np.flatnonzero(new)
-        rank = np.arange(n, dtype=np.int64) - starts[np.cumsum(new) - 1] + 1
+        rank = np.arange(len(doc), dtype=np.int64) \
+            - starts[np.cumsum(new) - 1] + 1
         keep = rank <= k
         return pa.table({"doc_id": doc[keep],
                          "token": tf["token"].filter(pa.array(keep)),
@@ -400,10 +398,7 @@ def doc_tfidf_top(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
         score = tf.astype(np.float64) * idf_sorted[p]
         # top-1 per doc: (score DESC, token ASC); lexsort is stable
         order = np.lexsort((vtok_sorted[p], -score, d))
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = d[order][1:] != d[order][:-1]
-        sel = order[first]
+        sel = order[run_starts(d[order])]
         return pa.table({
             "doc_id": d[sel].astype(np.int64),
             "token": pa.array(vtok_sorted[p[sel]].tolist(), pa.string()),
@@ -423,16 +418,16 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
 
     Partial: distinct (token, doc_id) per batch (exact globally: docs
     never split across batches), keep the k smallest ids per token,
-    carry (token, partial_df, id list) into a bounded md5(token)
-    bucket.  Merge: sum df, k smallest of the union of partial lists
-    (each <= k ids, so merge work per token is O(parts * k))."""
+    carry (token, partial_df, id list, md5(token)) into one bounded
+    exchange on the hash.  Merge: sum df, k smallest of the union of
+    partial lists (each <= k ids, so merge work per token is
+    O(parts * k))."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import hashlib
 
 
     _EMPTY = pa.schema([("token", pa.string()), ("df", pa.int64()),
-                        ("ids", pa.list_(pa.int64())),
-                        ("bucket", pa.int64())])
+                        ("ids", pa.list_(pa.int64())), ("h", pa.int64())])
 
     def partial(b: pa.Table) -> pa.Table:
         t = _tokens_table(b)
@@ -443,9 +438,7 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         tok = np.asarray(dt["token"])
         ids = dt["doc_id"].to_numpy()
         n = len(tok)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = tok[1:] != tok[:-1]
+        new = run_starts(tok)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
         rank = np.arange(n, dtype=np.int64) - starts[seg]
@@ -464,7 +457,7 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
             "ids": pa.ListArray.from_arrays(
                 pa.array(offs, pa.int32()),
                 pa.array(ids[keep], pa.int64())),
-            "bucket": pa.array(bucket_of(h, n_buckets))})
+            "h": pa.array(h.view(np.int64))})
 
     def merge(g: pa.Table) -> pa.Table:
         tok = np.asarray(g["token"])
@@ -479,13 +472,10 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         tcode = inv[parent]
         order = np.lexsort((flat, tcode))
         tc, fv = tcode[order], flat[order]
-        n = len(tc)
-        new = np.empty(n, dtype=bool)
-        if n:
-            new[0] = True
-            new[1:] = tc[1:] != tc[:-1]
+        new = run_starts(tc)
         starts = np.flatnonzero(new)
-        rank = np.arange(n, dtype=np.int64) - starts[np.cumsum(new) - 1]
+        rank = np.arange(len(tc), dtype=np.int64) \
+            - starts[np.cumsum(new) - 1]
         keep = rank < k
         s = pd.Series(fv[keep].astype(str))
         postings = s.groupby(tc[keep]).agg(",".join)
@@ -495,9 +485,9 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
             "df": df[postings.index.to_numpy()],
             "postings": pa.array(postings.to_numpy().tolist(), pa.string())})
 
-    return _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(_docs(sf_dir, ["doc_id", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "h", merge, n_buckets)
 
 
 def doc_rank(sf_dir: str) -> ray.data.Dataset:
@@ -662,8 +652,7 @@ def unigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
         # docs never split across batches: per-doc sums are exact
         order = np.argsort(doc, kind="stable")
         doc, lp = doc[order], lp[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], doc[1:] != doc[:-1]]))
+        starts = np.flatnonzero(run_starts(doc))
         return pa.table({
             "doc_id": pa.array(doc[starts]),
             "n_tokens": pa.array(np.diff(
@@ -684,10 +673,10 @@ def dedup_chunks(sf_dir: str, chunk_words: int = 4) -> ray.data.Dataset:
 
     Shuffle discipline (CLAUDE.md): the global first-occurrence rule
     needs each chunk hash's occurrences co-located ONCE — chunks
-    shuffle on splitmix(md5-u64(chunk)) into ``n_buckets`` bounded
-    buckets, the winner per hash is one vectorized lexsort + reduceat
-    slice per bucket, survivors shuffle a second time on
-    splitmix(doc_id) to reassemble. No driver materialization; both
+    exchange (``util.exchange``) on md5-u64(chunk) into ``n_buckets``
+    bounded buckets, the winner per hash is one vectorized lexsort +
+    run-start slice per bucket, survivors exchange a second time on
+    doc_id to reassemble. No driver materialization; both
     shuffle keys have a bounded domain. The 64-bit hash is the first
     16 hex chars of md5 (the repo's md5-derived parity rule), so the
     DuckDB twin partitions by substr(md5(chunk), 1, 16) and groups
@@ -708,8 +697,7 @@ def dedup_chunks(sf_dir: str, chunk_words: int = 4) -> ray.data.Dataset:
             # two's-complement int64 view: uint64 columns >= 2^63 can
             # round through float64 in pandas-converting paths (see
             # corpus_checksums); equality grouping is view-invariant
-            "h": pa.array(h.view(np.int64)),
-            "bucket": pa.array(bucket_of(h, n_buckets))})
+            "h": pa.array(h.view(np.int64))})
 
     def first_occurrence(g: pa.Table) -> pa.Table:
         doc = g["doc_id"].to_numpy()
@@ -717,15 +705,9 @@ def dedup_chunks(sf_dir: str, chunk_words: int = 4) -> ray.data.Dataset:
         h = g["h"].to_numpy()
         order = np.lexsort((idx, doc, h))
         hs = h[order]
-        starts = np.flatnonzero(np.concatenate([[True], hs[1:] != hs[:-1]]))
-        win = order[starts]  # ORDER BY doc_id, chunk_idx per hash
-        kept = g.take(pa.array(np.sort(win)))
-        dbkt = bucket_of(kept["doc_id"].to_numpy().astype(np.uint64),
-                         n_buckets)
-        return pa.table({
-            "doc_id": kept["doc_id"], "chunk_idx": kept["chunk_idx"],
-            "chunk_text": kept["chunk_text"],
-            "dbucket": pa.array(dbkt)})
+        win = order[run_starts(hs)]  # ORDER BY doc_id, chunk_idx per hash
+        return g.take(pa.array(np.sort(win))) \
+            .select(["doc_id", "chunk_idx", "chunk_text"])
 
     def reassemble(g: pa.Table) -> pa.Table:
         df = g.select(["doc_id", "chunk_idx", "chunk_text"]).to_pandas() \
@@ -738,15 +720,14 @@ def dedup_chunks(sf_dir: str, chunk_words: int = 4) -> ray.data.Dataset:
                                    pa.string()),
             "n_kept": pa.array(agg.iloc[:, 1].to_numpy().astype(np.int64))})
 
-    return chunk_documents(sf_dir, chunk_words) \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(first_occurrence, batch_format="pyarrow") \
-        .groupby("dbucket").map_groups(reassemble, batch_format="pyarrow")
+    chunks = chunk_documents(sf_dir, chunk_words) \
+        .map_batches(tag, batch_format="pyarrow")
+    return exchange(exchange(chunks, "h", first_occurrence, n_buckets),
+                    "doc_id", reassemble, n_buckets)
 
 
 def pack_sequences(sf_dir: str, seq_len: int = 64,
-                   ids_per_bucket: int = 65536,
-                   n_shuffle: int = 512) -> ray.data.Dataset:
+                   ids_per_bucket: int = 65536) -> ray.data.Dataset:
     """Training-sequence packing: concatenate all documents in doc_id
     order into one global token stream (token = space-separated word,
     the ``string_split(text, ' ')`` grammar) and cut it into fixed
@@ -760,13 +741,15 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
     the id buckets; (2) a streamed pass folds per-bucket token-count
     partials on the driver (<= max_id/ids_per_bucket tiny rows) into
     an exclusive cross-bucket carry, broadcast via ray.put; (3) rows
-    shuffle once on splitmix(bucket), each bucket cumsums locally and
-    adds its carry, then expands to overlap rows with repeat/arange
-    arithmetic. Nothing global is sorted or driver-materialized.
+    exchange once on their id bucket (``util.exchange``), each id
+    bucket cumsums locally and adds its carry, then expands to overlap
+    rows with repeat/arange arithmetic. Nothing global is sorted or
+    driver-materialized.
 
     SQL twin: sum(n) OVER (ORDER BY doc_id ROWS BETWEEN UNBOUNDED
     PRECEDING AND 1 PRECEDING) + unnest(range(s//L, (s+n-1)//L + 1))."""
     L = np.int64(seq_len)
+    n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 512)
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     max_id = int(ds.max("doc_id"))
@@ -780,7 +763,7 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
         bkt = did // B
         order = np.argsort(bkt, kind="stable")
         sb = bkt[order]
-        starts = np.flatnonzero(np.concatenate([[True], sb[1:] != sb[:-1]]))
+        starts = np.flatnonzero(run_starts(sb))
         return pa.table({
             "bkt": pa.array(sb[starts]),
             "s": pa.array(np.add.reduceat(n[order], starts))})
@@ -796,11 +779,8 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
         did = b["doc_id"].to_numpy().astype(np.int64)
         n = pc.add(pc.count_substring(b["text"], " "), 1) \
             .to_numpy().astype(np.int64)
-        bkt = did // B
-        return pa.table({
-            "doc_id": pa.array(did), "n": pa.array(n),
-            "bkt": pa.array(bkt),
-            "shard": pa.array(bucket_of(bkt.astype(np.uint64), n_shuffle))})
+        return pa.table({"doc_id": pa.array(did), "n": pa.array(n),
+                         "bkt": pa.array(did // B)})
 
     def expand(g: pa.Table) -> pa.Table:
         cr = ray.get(carry_ref)
@@ -811,7 +791,7 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
         did, n, bkt = did[order], n[order], bkt[order]
         # local exclusive cumsum, reset at bucket starts, plus carry
         cum = np.cumsum(n) - n
-        starts = np.flatnonzero(np.concatenate([[True], bkt[1:] != bkt[:-1]]))
+        starts = np.flatnonzero(run_starts(bkt))
         base = np.zeros(len(n), np.int64)
         base[starts] = cum[starts]
         start = cum - np.maximum.accumulate(base) + cr[bkt]
@@ -830,8 +810,8 @@ def pack_sequences(sf_dir: str, seq_len: int = 64,
             "tok_from": pa.array(np.maximum(s_r, i * L) - s_r),
             "tok_to": pa.array(np.minimum(s_r + n_r, (i + 1) * L) - s_r)})
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("shard").map_groups(expand, batch_format="pyarrow")
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"),
+                    "bkt", expand, n_buckets)
 
 
 def bigram_pmi(sf_dir: str, vocab_k: int = 256,
@@ -845,7 +825,7 @@ def bigram_pmi(sf_dir: str, vocab_k: int = 256,
     Scale shape: the vocabulary (bounded by contract) broadcasts with
     its term frequencies; bigrams ride the shuffle as ONE int64 vocab
     index pair (i1*V + i2 — no strings), per-batch np.unique partials
-    collapse before the bounded modulo-bucket groupby, and the PMI
+    collapse before one bounded exchange on that key, and the PMI
     finalizer is pure vectorized arithmetic per bucket. Docs never
     split across batches, so adjacency never crosses a batch edge.
 
@@ -864,8 +844,7 @@ def bigram_pmi(sf_dir: str, vocab_k: int = 256,
     vtf_sorted = vtf[vorder]
     V = np.int64(len(vtok_sorted))
 
-    _EMPTY = pa.schema([("key", pa.int64()), ("n_xy", pa.int64()),
-                        ("bucket", pa.int64())])
+    _EMPTY = pa.schema([("key", pa.int64()), ("n_xy", pa.int64())])
 
     def partial(b: pa.Table) -> pa.Table:
         t = _tokens_table(b)
@@ -876,21 +855,20 @@ def bigram_pmi(sf_dir: str, vocab_k: int = 256,
         pos = np.searchsorted(vtok_sorted, tok)
         pos[pos >= V] = 0
         hit = vtok_sorted[pos] == tok
-        adj = (doc[1:] == doc[:-1]) & hit[1:] & hit[:-1]
+        adj = ~run_starts(doc)[1:] & hit[1:] & hit[:-1]
         if not adj.any():
             return _EMPTY.empty_table()
         key = pos[:-1][adj].astype(np.int64) * V + pos[1:][adj]
         ku, cnt = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(ku),
-                         "n_xy": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(ku % n_buckets)})
+                         "n_xy": pa.array(cnt.astype(np.int64))})
 
     def final(g: pa.Table) -> pa.Table:
         key = g["key"].to_numpy()
         n = g["n_xy"].to_numpy()
         order = np.argsort(key, kind="stable")
         k_, n_ = key[order], n[order]
-        starts = np.flatnonzero(np.concatenate(([True], k_[1:] != k_[:-1])))
+        starts = np.flatnonzero(run_starts(k_))
         ku, nu = k_[starts], np.add.reduceat(n_, starts)
         keep = nu >= min_count
         ku, nu = ku[keep], nu[keep]
@@ -904,9 +882,9 @@ def bigram_pmi(sf_dir: str, vocab_k: int = 256,
                          "n_xy": pa.array(nu.astype(np.int64)),
                          "pmi_micro": pa.array(pmi)})
 
-    return _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final, batch_format="pyarrow")
+    return exchange(_docs(sf_dir, ["doc_id", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "key", final, n_buckets)
 
 
 def lang_percentiles(sf_dir: str) -> ray.data.Dataset:
@@ -992,41 +970,45 @@ def corpus_checksums(sf_dir: str, n_buckets: int = 64) -> ray.data.Dataset:
     and hex-formats only at the final <= n_buckets rows.
 
     Per-batch partials collapse to <= n_buckets rows before the ONE
-    bounded groupby; the merge is another XOR fold."""
+    bounded exchange on the output bucket; the merge is the same XOR
+    fold."""
     import hashlib
+
+    def fold(part, n_docs, hi, lo):
+        """(part, n_docs, ck_hi, ck_lo) per distinct part: row counts
+        add, checksum halves XOR."""
+        order = np.argsort(part, kind="stable")
+        starts = np.flatnonzero(run_starts(part[order]))
+        return (part[order][starts],
+                np.add.reduceat(n_docs[order], starts),
+                np.bitwise_xor.reduceat(hi[order], starts),
+                np.bitwise_xor.reduceat(lo[order], starts))
 
     def partial(b: pa.Table) -> pa.Table:
         h = np.fromiter(
             (int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
              for s in b["text"].to_pylist()),
             dtype=np.uint64, count=b.num_rows)
-        bkt = (b["doc_id"].to_numpy().astype(np.int64) % n_buckets)
-        order = np.argsort(bkt, kind="stable")
-        sb = bkt[order]
-        starts = np.flatnonzero(np.concatenate(([True], sb[1:] != sb[:-1])))
-        hs = h[order]
-        return pa.table({
-            "bucket": pa.array(sb[starts]),
-            "n_docs": pa.array(np.diff(np.concatenate(
-                (starts, [len(sb)]))).astype(np.int64)),
-            "ck_hi": pa.array(np.bitwise_xor.reduceat(
-                hs >> np.uint64(32), starts).astype(np.int64)),
-            "ck_lo": pa.array(np.bitwise_xor.reduceat(
-                hs & np.uint64(0xFFFFFFFF), starts).astype(np.int64))})
+        part, n, hi, lo = fold(
+            b["doc_id"].to_numpy().astype(np.int64) % n_buckets,
+            np.ones(len(h), np.int64),
+            (h >> np.uint64(32)).astype(np.int64),
+            (h & np.uint64(0xFFFFFFFF)).astype(np.int64))
+        return pa.table({"part": part, "n_docs": n, "ck_hi": hi, "ck_lo": lo})
 
     def merge(g: pa.Table) -> pa.Table:
-        hi = np.bitwise_xor.reduce(g["ck_hi"].to_numpy())
-        lo = np.bitwise_xor.reduce(g["ck_lo"].to_numpy())
+        part, n, hi, lo = fold(*(g[c].to_numpy() for c in
+                                 ("part", "n_docs", "ck_hi", "ck_lo")))
         return pa.table({
-            "bucket": pa.array([g["bucket"][0].as_py()], pa.int64()),
-            "n_docs": pa.array([int(np.sum(g["n_docs"].to_numpy()))],
-                               pa.int64()),
+            "bucket": pa.array(part, pa.int64()),
+            "n_docs": pa.array(n, pa.int64()),
             "checksum": pa.array(
-                [f"{(int(hi) << 32) | int(lo):016x}"], pa.string())})
+                [f"{(int(a) << 32) | int(b):016x}" for a, b in zip(hi, lo)],
+                pa.string())})
 
-    return _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(_docs(sf_dir, ["doc_id", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "part", merge, n_buckets)
 
 
 def feature_hashing(sf_dir: str, n_features: int = 256) -> ray.data.Dataset:
@@ -1063,7 +1045,7 @@ def feature_hashing(sf_dir: str, n_features: int = 256) -> ray.data.Dataset:
         key = doc * n_features + bkt
         order = np.argsort(key, kind="stable")
         ks, ss = key[order], sign[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+        starts = np.flatnonzero(run_starts(ks))
         ku = ks[starts]
         w = np.add.reduceat(ss, starts)
         keep = w != 0
@@ -1166,8 +1148,8 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
 
     Two corpus passes, the train-then-score LM shape: (1) bigram
     counts over in-vocab pairs collapse per batch to int64 key
-    partials (i1*V+i2, no strings) through one bounded modulo-bucket
-    groupby — the result is bounded by V^2, a model constant, so it
+    partials (i1*V+i2, no strings) through one bounded exchange on the
+    key — the result is bounded by V^2, a model constant, so it
     collects and broadcasts like the vocabulary itself; (2) a
     shuffle-free scoring pass looks pairs up via searchsorted against
     the broadcast count table. Docs never split across batches, so
@@ -1183,8 +1165,7 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
     vtf_sorted = vtf[vorder]
     V = np.int64(len(vtok_sorted))
 
-    _EMPTY_P = pa.schema([("key", pa.int64()), ("c", pa.int64()),
-                          ("bucket", pa.int64())])
+    _EMPTY_P = pa.schema([("key", pa.int64()), ("c", pa.int64())])
 
     def count_partial(b: pa.Table) -> pa.Table:
         t = _tokens_table(b)
@@ -1195,28 +1176,27 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
         pos = np.searchsorted(vtok_sorted, tok)
         pos[pos >= V] = 0
         hit = vtok_sorted[pos] == tok
-        adj = (doc[1:] == doc[:-1]) & hit[1:] & hit[:-1]
+        adj = ~run_starts(doc)[1:] & hit[1:] & hit[:-1]
         if not adj.any():
             return _EMPTY_P.empty_table()
         key = pos[:-1][adj].astype(np.int64) * V + pos[1:][adj]
         ku, cnt = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(ku),
-                         "c": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(ku % n_buckets)})
+                         "c": pa.array(cnt.astype(np.int64))})
 
     def count_merge(g: pa.Table) -> pa.Table:
         key = g["key"].to_numpy()
         c = g["c"].to_numpy()
         order = np.argsort(key, kind="stable")
         k_, c_ = key[order], c[order]
-        starts = np.flatnonzero(np.concatenate(([True], k_[1:] != k_[:-1])))
+        starts = np.flatnonzero(run_starts(k_))
         return pa.table({"key": pa.array(k_[starts]),
                          "c": pa.array(np.add.reduceat(c_, starts)
                                        .astype(np.int64))})
 
-    counts = _docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(count_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(count_merge, batch_format="pyarrow") \
+    counts = exchange(_docs(sf_dir, ["doc_id", "text"])
+                      .map_batches(count_partial, batch_format="pyarrow"),
+                      "key", count_merge, n_buckets) \
         .to_pandas()  # bounded by V^2 — a model constant, like the vocab
     bk = counts["key"].to_numpy().astype(np.int64)
     bc = counts["c"].to_numpy().astype(np.int64)
@@ -1235,7 +1215,7 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
         pos = np.searchsorted(vtok_sorted, tok)
         pos[pos >= V] = 0
         hit = vtok_sorted[pos] == tok
-        adj = (doc[1:] == doc[:-1]) & hit[1:] & hit[:-1]
+        adj = ~run_starts(doc)[1:] & hit[1:] & hit[:-1]
         if not adj.any():
             return _EMPTY_S.empty_table()
         i1 = pos[:-1][adj].astype(np.int64)
@@ -1247,7 +1227,7 @@ def bigram_logprob(sf_dir: str, vocab_k: int = 256) -> ray.data.Dataset:
         d = doc[:-1][adj]
         order = np.argsort(d, kind="stable")
         d, lp = d[order], lp[order]
-        starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+        starts = np.flatnonzero(run_starts(d))
         return pa.table({
             "doc_id": pa.array(d[starts]),
             "n_bigrams": pa.array(np.diff(
@@ -1332,15 +1312,12 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
     Shape: trigrams never exist as Python strings in the hot path —
     each batch packs all 3-byte windows of the raw Arrow values buffer
     into int32 keys with three shifted views and counts distinct
-    (lang, key) pairs via np.unique; ONE bounded splitmix(key) bucket
-    shuffle completes each key's global count (a key lives in exactly
+    (lang, key) pairs via np.unique; ONE bounded exchange on the key
+    completes each key's global count (a key lives in exactly
     ONE bucket, so per-bucket top-k candidates are globally sound);
     the driver folds k*buckets candidate rows. State is bounded by
     the trigram VOCABULARY, not the corpus size."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 256)
-    from ray.data.aggregate import Sum
-
-    from raytiles.util import bucket_of
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch["text"].combine_chunks()
@@ -1355,8 +1332,7 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         # ragged arange: every trigram start position across the batch
         tot = int(m.sum())
         if tot == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "lang": pa.array([], pa.string()),
+            return pa.table({"lang": pa.array([], pa.string()),
                              "key": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64())})
         rep = np.repeat(np.arange(len(m)), m)
@@ -1372,7 +1348,6 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         ukey = uniq // 64
         ulang = luniq[(uniq % 64).astype(np.int64)]
         return pa.table({
-            "bucket": bucket_of(ukey, n_buckets),
             "lang": pa.array(ulang, pa.string()),
             "key": ukey, "n": counts.astype(np.int64)})
 
@@ -1386,9 +1361,7 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
             return pa.table({"lang": pa.array([], pa.string()),
                              "key": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64())})
-        first = np.concatenate(
-            ([True], (lang[1:] != lang[:-1]) | (key[1:] != key[:-1])))
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(lang, key))
         tot = np.add.reduceat(nn, starts)
         lang, key = lang[starts], key[starts]
         # per-lang local top-k candidates (globally sound: every key's
@@ -1396,7 +1369,7 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         # desc, key asc) and keep each lang's first k rows
         order = np.lexsort((key, -tot, lang))
         lang, key, tot = lang[order], key[order], tot[order]
-        lfirst = np.concatenate(([True], lang[1:] != lang[:-1]))
+        lfirst = run_starts(lang)
         lsizes = np.diff(np.append(np.flatnonzero(lfirst), len(lang)))
         rank = np.arange(len(lang)) - np.repeat(
             np.flatnonzero(lfirst), lsizes)
@@ -1405,10 +1378,9 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
                          "key": pa.array(key[keep].astype(np.int64)),
                          "n": pa.array(tot[keep].astype(np.int64))})
 
-    cand = _docs(sf_dir, ["lang", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(bucket_topk, batch_format="pyarrow") \
-        .to_pandas()
+    cand = exchange(_docs(sf_dir, ["lang", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "key", bucket_topk, n_buckets).to_pandas()
 
     out = []
     for lang, g in cand.groupby("lang"):
@@ -1470,7 +1442,7 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
     text sits near -1; templated/spam sources flatten or steepen).
 
     Shape: vocab_topk's bounded plan (per-batch (source, token) tf
-    partials, ONE md5-bucket shuffle, per-bucket top-n) then a single
+    partials, ONE exchange on md5(token), per-bucket top-n) then a single
     merge block sees <= topn x buckets x sources rows. Exactness: the
     regression runs over INT64 micro-nat quantized logs (the unigram
     trick), so every sum is order-free and the twin's HUGEINT sums
@@ -1481,7 +1453,7 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
     from .relational import _fq
 
     _EMPTY = pa.schema([("source", pa.string()), ("token", pa.string()),
-                        ("tf", pa.int64()), ("bucket", pa.int64())])
+                        ("tf", pa.int64()), ("h", pa.int64())])
 
     def partial(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(b["text"], NON_TOKEN_RE)
@@ -1499,7 +1471,14 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
         return pa.table({
             "source": tf["source"], "token": tf["token"],
             "tf": pc.cast(tf["tf"], pa.int64()),
-            "bucket": pa.array(bucket_of(h, n_buckets))})
+            "h": pa.array(h.view(np.int64))})
+
+    def _rank(src: np.ndarray) -> np.ndarray:
+        """1-based row rank within each run of equal ``src``."""
+        new = run_starts(src)
+        starts = np.flatnonzero(new)
+        return np.arange(len(src), dtype=np.int64) \
+            - starts[np.cumsum(new) - 1] + 1
 
     def merge_bucket(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["source", "token", "tf"]),
@@ -1507,40 +1486,21 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
             .rename_columns(["source", "token", "tf"])
         m = m.sort_by([("source", "ascending"), ("tf", "descending"),
                        ("token", "ascending")])
-        src = np.asarray(m["source"])
-        n = len(src)
-        if n == 0:
-            return m
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(new)
-        rank = np.arange(n, dtype=np.int64) - starts[np.cumsum(new) - 1] + 1
-        return m.filter(pa.array(rank <= topn))
+        return m.filter(pa.array(_rank(np.asarray(m["source"])) <= topn))
 
     def finalize(b: pa.Table) -> pa.Table:
         m = b.sort_by([("source", "ascending"), ("tf", "descending"),
                        ("token", "ascending")])
         src = np.asarray(m["source"])
         tf = m["tf"].to_numpy(zero_copy_only=False)
-        n = len(src)
-        if n == 0:
-            return pa.table({"source": pa.array([], pa.string()),
-                             "n_top": pa.array([], pa.int64()),
-                             "slope": pa.array([], pa.float64())})
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(new)
-        rank = np.arange(n, dtype=np.int64) - starts[np.cumsum(new) - 1] + 1
+        rank = _rank(src)
         keep = rank <= topn
         src, tf, rank = src[keep], tf[keep], rank[keep]
         xi = np.floor(np.log(rank.astype(np.float64)) * 1e6 + 0.5) \
             .astype(np.int64)
         yi = np.floor(np.log(tf.astype(np.float64)) * 1e6 + 0.5) \
             .astype(np.int64)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], src[1:] != src[:-1])))
+        starts = np.flatnonzero(run_starts(src))
         cnt = np.diff(np.concatenate((starts, [len(src)])))
         sx = np.add.reduceat(xi, starts)
         sy = np.add.reduceat(yi, starts)
@@ -1556,9 +1516,9 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
             "n_top": pa.array(cnt.astype(np.int64)),
             "slope": pa.array(_fq(num / den, 6))})
 
-    return _docs(sf_dir, ["source", "text"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow") \
+    return exchange(_docs(sf_dir, ["source", "text"])
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "h", merge_bucket, n_buckets) \
         .repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 

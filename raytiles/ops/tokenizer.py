@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..util import run_starts
 from .text import _docs, _tokens_table, vocab_topk
 
 _INF = 1 << 30
@@ -143,8 +144,7 @@ def bpe_encode_counts(sf_dir: str, n_merges: int = 64,
         ntok = per_word[inv]
         order = np.argsort(doc, kind="stable")
         doc, ntok = doc[order], ntok[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], doc[1:] != doc[:-1])))
+        starts = np.flatnonzero(run_starts(doc))
         return pa.table({
             "doc_id": pa.array(doc[starts]),
             "n_words": pa.array(np.diff(

@@ -11,8 +11,9 @@ file to cite — semantics are pinned by the DuckDB twins in
 raytiles/oracles.py and by pytest.
 
 Shuffle discipline (CLAUDE.md): per-batch vectorized partials collapse
-each batch before the ONE bounded splitmix-bucket groupby; the
-decontamination scan has NO shuffle at all — the benchmark gram set is
+each batch before the ONE bounded bucket exchange (``util.exchange``
+on an md5-derived key); the decontamination scan has NO shuffle at
+all — the benchmark gram set is
 `ray.put` once and every task reads the same object-store copy.
 """
 
@@ -26,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import bucket_of, cogroup, derive_buckets
+from ..util import cogroup, derive_buckets, exchange, run_starts
 from .text import NON_TOKEN_RE, _tokens_table
 
 HOST_RE = r"^https?://(?P<host>[^/]+)/"
@@ -40,6 +41,13 @@ def _md5_u64(strings) -> np.ndarray:
         (int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
          for s in strings),
         dtype=np.uint64, count=len(strings))
+
+
+def _with_md5(t: pa.Table, col: str, key: str) -> pa.Table:
+    """``t`` plus column ``key``: ``_md5_u64`` of the string column
+    ``col`` as int64, the form a string key rides ``util.exchange``."""
+    return t.append_column(
+        key, pa.array(_md5_u64(t[col].to_pylist()).view(np.int64)))
 
 
 def train_split(sf_dir: str, val_pct: int = 5,
@@ -97,9 +105,10 @@ def host_stats(webpages_path: str) -> ray.data.Dataset:
     """Per-host corpus stats: (host, n_docs, total_chars, n_en).
 
     Partial: one RE2 extract + one Arrow hash-aggregate per batch, so
-    the shuffle moves <= hosts_in_batch rows per batch; md5-hashed
-    hosts land in a bounded bucket key (hosts are unbounded at crawl
-    scale — never the raw groupby key). Final: sum-merge per bucket."""
+    the shuffle moves <= hosts_in_batch rows per batch; hosts exchange
+    on their md5 hash into bounded buckets (hosts are unbounded at
+    crawl scale — never the raw groupby key). Final: sum-merge per
+    bucket."""
     n_buckets = derive_buckets(webpages_path, 256)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -112,8 +121,7 @@ def host_stats(webpages_path: str) -> ray.data.Dataset:
         g = pa.TableGroupBy(t, "host").aggregate(
             [("host", "count"), ("n_chars", "sum"), ("is_en", "sum")])
         g = g.rename_columns(["host", "n_docs", "total_chars", "n_en"])
-        h = _md5_u64(g["host"].to_pylist())
-        return g.append_column("bucket", pa.array(bucket_of(h, n_buckets)))
+        return _with_md5(g, "host", "hk")
 
     def merge(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["host", "n_docs", "total_chars", "n_en"]),
@@ -126,8 +134,8 @@ def host_stats(webpages_path: str) -> ray.data.Dataset:
                          "n_en": pc.cast(m["n_en"], pa.int64())})
 
     ds = ray.data.read_parquet(webpages_path, columns=["url", "text", "lang"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "hk", merge, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +206,7 @@ def _doc_gram_hashes(texts: pa.Array):
     gh = _md5_u64(ug)[inv]
     order = np.lexsort((gh, doc))
     doc, gh = doc[order], gh[order]
-    first = np.empty(len(doc), dtype=bool)
-    first[0] = True
-    first[1:] = (doc[1:] != doc[:-1]) | (gh[1:] != gh[:-1])
+    first = run_starts(doc, gh)
     return doc[first], gh[first]
 
 
@@ -294,9 +300,9 @@ def boilerplate_ngrams(sf_dir: str, min_docs: int = 2) -> ray.data.Dataset:
 
     Scale shape: pass 1 streams per-batch distinct (doc, gram) pairs
     collapsed to per-gram partial doc-counts (exact: docs never split
-    across batches), one bounded splitmix(gh) bucket groupby sums and
-    thresholds; the heavy set (grams in >= min_docs docs) is unioned
-    on the driver and broadcast via ray.put — bounded by the
+    across batches), one bounded exchange on gh sums and thresholds;
+    the heavy set (grams in >= min_docs docs) is unioned on the
+    driver and broadcast via ray.put — bounded by the
     boilerplate assumption (repeated-content vocabulary << corpus;
     same contract as decontaminate's benchmark set). Pass 2 is a
     shuffle-free np.isin scan per batch."""
@@ -307,10 +313,7 @@ def boilerplate_ngrams(sf_dir: str, min_docs: int = 2) -> ray.data.Dataset:
     def count_partial(b: pa.Table) -> pa.Table:
         _, gh = _doc_gram_hashes(b["text"].combine_chunks())
         u, c = np.unique(gh, return_counts=True)
-        return pa.table({
-            "gh": u.view(np.int64),
-            "n": c.astype(np.int64),
-            "bucket": pa.array(bucket_of(u, n_buckets))})
+        return pa.table({"gh": u.view(np.int64), "n": c.astype(np.int64)})
 
     def heavy_in_bucket(g: pa.Table) -> pa.Table:
         gh = g["gh"].to_numpy()
@@ -319,10 +322,9 @@ def boilerplate_ngrams(sf_dir: str, min_docs: int = 2) -> ray.data.Dataset:
         tot = np.bincount(inv, weights=n, minlength=len(u))
         return pa.table({"gh": u[tot >= min_docs]})
 
-    parts = ray.data.read_parquet(path, columns=["doc_id", "text"]) \
-        .map_batches(count_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(heavy_in_bucket,
-                                      batch_format="pyarrow")
+    parts = exchange(ray.data.read_parquet(path, columns=["doc_id", "text"])
+                     .map_batches(count_partial, batch_format="pyarrow"),
+                     "gh", heavy_in_bucket, n_buckets)
     chunks = [nb["gh"] for nb in parts.iter_batches(batch_format="numpy")
               if len(nb["gh"])]
     heavy = (np.sort(np.concatenate(chunks).view(np.uint64))
@@ -389,34 +391,29 @@ def per_source_cap(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     Bounded top-k per key, two-phase: each batch keeps its own k
     smallest doc_ids per source (run-length rank over a sorted batch,
     all vectorized), so the shuffle moves <= k rows per (source,
-    batch); ONE bounded splitmix(md5(source))-bucket groupby re-ranks
-    and emits the global winners. No full sort, no per-source group
+    batch); ONE bounded exchange on md5(source) re-ranks and emits the
+    global winners. No full sort, no per-source group
     materialization beyond a bucket."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     def _cap(t: pa.Table) -> pa.Table:
         t = t.sort_by([("source", "ascending"), ("doc_id", "ascending")])
         s = t["source"].to_numpy(zero_copy_only=False)
-        if s.size == 0:
-            return t
-        change = np.ones(s.size, dtype=bool)
-        change[1:] = s[1:] != s[:-1]
+        change = run_starts(s)
         starts = np.flatnonzero(change)
         gidx = np.cumsum(change) - 1
         rank = np.arange(s.size) - starts[gidx]
         return t.filter(pa.array(rank < k))
 
     def partial(b: pa.Table) -> pa.Table:
-        t = _cap(b.select(["source", "doc_id"]))
-        h = _md5_u64(t["source"].to_pylist())
-        return t.append_column("bucket", pa.array(bucket_of(h, n_buckets)))
+        return _with_md5(_cap(b.select(["source", "doc_id"])), "source", "sh")
 
     def merge(g: pa.Table) -> pa.Table:
         return _cap(g.select(["source", "doc_id"]))
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "doc_id"])
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    "sh", merge, n_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +429,12 @@ def source_kl(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
     Three bounded passes: (1) the distributed vocab build
     (vocab_topk: k x buckets rows max); (2) per-(source, token) exact
     counts — per-batch Arrow hash-aggregate partials, ONE bounded
-    splitmix(md5(source))-bucket groupby, materialized because the
-    result is the bounded aggregate table (<= |sources| x V rows)
-    consumed twice; (3) the token marginal (<= V rows) broadcasts
-    back and each source's KL finishes inside its bucket group —
-    sources are hash-partitioned, so every (source, token) row of a
-    source is local to one group."""
+    exchange on md5(source), materialized because the result is the
+    bounded aggregate table (<= |sources| x V rows) consumed twice;
+    (3) the token marginal (<= V rows) broadcasts back and the counts
+    exchange again on md5(source), so every (source, token) row of a
+    source is local to one group and each source's KL finishes
+    there."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     from .text import vocab_topk
 
@@ -445,7 +442,7 @@ def source_kl(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
     vref = ray.put(vocab)
 
     _EMPTY = pa.schema([("source", pa.string()), ("token", pa.string()),
-                        ("c", pa.int64()), ("bucket", pa.int64())])
+                        ("c", pa.int64()), ("sh", pa.int64())])
 
     def partial(b: pa.Table) -> pa.Table:
         v = ray.get(vref)
@@ -459,23 +456,19 @@ def source_kl(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
             return _EMPTY.empty_table()
         g = pa.TableGroupBy(t, ["source", "token"]).aggregate(
             [("token", "count")]).rename_columns(["source", "token", "c"])
-        h = _md5_u64(g["source"].to_pylist())
-        return pa.table({"source": g["source"], "token": g["token"],
-                         "c": pc.cast(g["c"], pa.int64()),
-                         "bucket": pa.array(bucket_of(h, n_buckets))})
+        return _with_md5(g.set_column(2, "c", pc.cast(g["c"], pa.int64())),
+                         "source", "sh")
 
     def merge(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["source", "token", "c"]),
                             ["source", "token"]).aggregate([("c", "sum")])
-        m = m.rename_columns(["source", "token", "c"])
-        return m.append_column(
-            "bucket", pa.array(bucket_of(_md5_u64(m["source"].to_pylist()),
-                                         n_buckets)))
+        return _with_md5(m.rename_columns(["source", "token", "c"]),
+                         "source", "sh")
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source", "text"])
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
+    counts = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                      "sh", merge, n_buckets) \
         .materialize()  # bounded aggregate (<= |sources| x V rows)
 
     from ray.data.aggregate import Sum
@@ -506,8 +499,7 @@ def source_kl(sf_dir: str, vocab_k: int = 100) -> ray.data.Dataset:
                          "n_invocab": pa.array(out_n, pa.int64()),
                          "kl": pa.array(out_kl, pa.float64())})
 
-    return counts.groupby("bucket").map_groups(kl_group,
-                                               batch_format="pyarrow")
+    return exchange(counts, "sh", kl_group, n_buckets)
 
 
 def temperature_weights(sf_dir: str, alpha: float = 0.7) -> "object":
@@ -518,19 +510,19 @@ def temperature_weights(sf_dir: str, alpha: float = 0.7) -> "object":
     the source is repeated in a single pass over the mix).
 
     Per-batch partial counts collapse each batch to <= |sources in
-    batch| rows; ONE bounded bucket groupby merges; the normalization
-    runs driver-side over the RESULT-SIZED per-source table (that
-    table IS the query output — nothing unbounded materializes)."""
+    batch| rows; ONE bounded exchange on md5(source) merges; the
+    normalization runs driver-side over the RESULT-SIZED per-source
+    table (that table IS the query output — nothing unbounded
+    materializes)."""
     n_buckets = derive_buckets(f"{sf_dir}/documents.parquet", 64)
     import pandas as pd
 
     def partial(b: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(b.select(["source"]), "source").aggregate(
             [("source", "count")]).rename_columns(["source", "n"])
-        h = _md5_u64(g["source"].to_pylist())
-        return pa.table({"source": g["source"],
-                         "n": pc.cast(g["n"], pa.int64()),
-                         "bucket": pa.array(bucket_of(h, n_buckets))})
+        return _with_md5(pa.table({"source": g["source"],
+                                   "n": pc.cast(g["n"], pa.int64())}),
+                         "source", "sh")
 
     def merge(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["source", "n"]), "source") \
@@ -539,8 +531,8 @@ def temperature_weights(sf_dir: str, alpha: float = 0.7) -> "object":
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["source"])
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow") \
+    counts = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                      "sh", merge, n_buckets) \
         .to_pandas().sort_values("source").reset_index(drop=True)
 
     n = counts["n"].to_numpy().astype(np.float64)

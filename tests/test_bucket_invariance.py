@@ -20,6 +20,7 @@ OPS = [
     ("relational", "user_features", "sf"),
     ("groupops", "group_mode", "sf"),
     ("text", "vocab_topk", "sf"),
+    ("text", "pack_sequences", "sf"),
     ("webcorpus", "per_source_cap", "sf"),
     ("warehouse", "custdist", "sf"),
     ("sketch", "heavy_hitters", "sf"),

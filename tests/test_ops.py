@@ -718,13 +718,13 @@ def test_dedup_chunks_single_process_oracle():
         assert r["clean_text"] == ct and r["n_kept"] == nk
 
 
-def test_pack_sequences_single_process_oracle():
+def test_pack_sequences_single_process_oracle(monkeypatch):
     """Exclusive running token sum in doc_id order, one row per
     (doc, sequence) overlap with doc-local [tok_from, tok_to)."""
     from raytiles.ops.text import pack_sequences
     L = 64
-    got = pack_sequences(SF_SMOKE, seq_len=L, ids_per_bucket=64,
-                         n_shuffle=16).to_pandas() \
+    monkeypatch.setenv("RAYTILES_FORCE_BUCKETS", "16")
+    got = pack_sequences(SF_SMOKE, seq_len=L, ids_per_bucket=64).to_pandas() \
         .sort_values(["doc_id", "seq_id"]).reset_index(drop=True)
     docs = pq.read_table(f"{SF_SMOKE}/documents.parquet",
                          columns=["doc_id", "text"]).to_pandas() \

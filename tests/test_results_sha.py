@@ -13,14 +13,17 @@ SHA_PATH = os.path.join(REPO, "RESULTS_SHA.json")
 SF = "/root/testdata/sf0.01"
 
 # cheap, shape-diverse queries (relational, window, text, dedup, geo,
-# sketch families); the last five cover util.exchange / run_starts: a
-# float partial merge, a row exchange, multi-key run scans, an exchange
-# into one merge, and two exchanges of one partial
+# sketch families); from user_features on they cover util.exchange /
+# run_starts: a float partial merge, a row exchange, multi-key run
+# scans, an exchange into one merge, two exchanges of one partial, two
+# chained exchanges, the re-exchange of a merge output, the HLL
+# register exchange and an id-bucket exchange with a broadcast carry
 SPOT = ["pricing_summary", "top_customers", "events_hourly",
         "events_asof", "props_extract", "hdr_quantiles", "exact_dedup",
         "minhash_bands", "tile_counts", "char_trigrams",
         "user_features", "funnel_conversion", "events_ohlc",
-        "event_transitions", "type_affinity"]
+        "event_transitions", "type_affinity", "dup_spans", "source_kl",
+        "hll_sketches", "pack_sequences"]
 
 
 @pytest.mark.usefixtures("ray_session")

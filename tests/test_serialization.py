@@ -228,25 +228,32 @@ def test_one_join_path():
     assert not offenders, offenders
 
 
-# relational functions that keep their own exchange, and why
+# op modules whose one-key hash exchanges and run scans are on util,
+# each with the functions that keep their own exchange and why
 # (CHANGES.md names the same sites)
-RELATIONAL_OWN_EXCHANGE = {
-    "order_price_ranks": "range partition on sampled splits, not a hash "
-                         "of one key column",
+EXCHANGES_ON_UTIL = {
+    "relational": {
+        "order_price_ranks": "range partition on sampled splits, not a "
+                             "hash of one key column",
+    },
+    "text": {},
+    "dedup": {},
+    "sketch": {},
+    "webcorpus": {},
+    "tokenizer": {},
 }
 
 
-def test_relational_exchanges_on_util():
-    """Convention guard (CLAUDE.md): in raytiles/ops/relational.py every
-    one-input hash-bucket exchange is ``util.exchange`` and every run
-    scan is ``util.run_starts``. Fails on a ``groupby("bucket")`` /
-    ``groupby("shard")`` call or a hand-written ``k[1:] != k[:-1]``
-    (or ``==``, either order) scan outside the functions in
-    RELATIONAL_OWN_EXCHANGE."""
+def test_exchanges_on_util():
+    """Convention guard (CLAUDE.md): in every module of
+    EXCHANGES_ON_UTIL each one-input hash-bucket exchange is
+    ``util.exchange`` and each run scan is ``util.run_starts``. Fails
+    on a ``groupby`` of a column whose name contains ``bucket`` (or is
+    ``shard``) or a hand-written ``k[1:] != k[:-1]`` (or ``==``,
+    either order) scan outside the module's allowed functions."""
     import ast
     import pathlib
-    path = pathlib.Path(__file__).resolve().parent.parent \
-        / "raytiles" / "ops" / "relational.py"
+    ops = pathlib.Path(__file__).resolve().parent.parent / "raytiles" / "ops"
 
     def bounds(s):
         """(lower, upper) source of a step-less slice subscript."""
@@ -263,20 +270,28 @@ def test_relational_exchanges_on_util():
         pair = {bounds(node.left), bounds(node.comparators[0])}
         return pair == {("1", None), (None, "-1")}
 
+    def is_bucket_groupby(node):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            return False
+        col = node.args[0].value
+        return "bucket" in col or col == "shard"
+
     offenders = []
-    for top in ast.parse(path.read_text()).body:
-        if not isinstance(top, ast.FunctionDef) \
-                or top.name in RELATIONAL_OWN_EXCHANGE:
-            continue
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "groupby" and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value in ("bucket", "shard")):
-                offenders.append(f"{top.name}:{node.lineno} groupby")
-            if is_scan(node):
-                offenders.append(f"{top.name}:{node.lineno} run scan")
+    for module, allowed in EXCHANGES_ON_UTIL.items():
+        tree = ast.parse((ops / f"{module}.py").read_text())
+        for top in tree.body:
+            if not isinstance(top, ast.FunctionDef) or top.name in allowed:
+                continue
+            name = f"{module}.{top.name}"
+            for node in ast.walk(top):
+                if is_bucket_groupby(node):
+                    offenders.append(f"{name}:{node.lineno} groupby")
+                if is_scan(node):
+                    offenders.append(f"{name}:{node.lineno} run scan")
     assert not offenders, offenders
 
 
