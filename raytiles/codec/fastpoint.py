@@ -116,18 +116,19 @@ def encode_point_tiles(tile_offsets: np.ndarray,
                        lx: np.ndarray,
                        ly: np.ndarray,
                        extent: int = 4096,
-                       version: int = 2) -> list[bytes]:
+                       version: int = 2) -> pa.BinaryArray:
     """Encode T tiles at once.
 
     tile_offsets: int64 (T+1,) feature spans per tile into the flat
     arrays (features already sorted (url, mention_idx) within tile);
     urls: Arrow string array (flat); midx/lx/ly: int arrays (flat).
-    Returns list of T mvt byte strings.
+    Returns the T mvt messages as one binary array over the encode
+    buffer (zero-copy); a tile without features is b"".
     """
     n = int(tile_offsets[-1])
     T = tile_offsets.size - 1
     if n == 0:
-        return [b""] * T
+        return pa.array([b""] * T, pa.binary())
     tile_of = np.repeat(np.arange(T), np.diff(tile_offsets))
 
     # ---- per-tile value dictionaries (first-appearance order over the
@@ -322,6 +323,10 @@ def encode_point_tiles(tile_offsets: np.ndarray,
     buf[(tq[:, None] + np.arange(len(tail_bytes))[None, :]).ravel()] = \
         np.tile(tail_arr, tnz.size)
 
-    flat = buf.tobytes()
-    ends = tile_starts_b + tile_total
-    return [flat[tile_starts_b[t]:ends[t]] if nfeat[t] else b"" for t in range(T)]
+    # tiles lie back to back in buf, so their offsets are tile_total's
+    # running sum; binary's int32 offsets bound one batch's output
+    if buf.size >= 2**31:
+        raise OverflowError(f"{buf.size} encoded bytes exceed one binary array")
+    offsets = np.concatenate([[0], np.cumsum(tile_total)]).astype(np.int32)
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), T, [None, pa.py_buffer(offsets), pa.py_buffer(buf)])

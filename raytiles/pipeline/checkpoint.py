@@ -1,10 +1,11 @@
-"""Per-partition checkpointing with lineage + metrics: the caller
-(pipeline.job's stage B, one partition per stage-A bucket; the bucket
-count follows the input's size unless the job is given one) publishes
-each finished partition with ``write_partition`` and resumes by
-skipping the pids ``finished_partitions`` lists.
+"""Per-partition checkpointing with lineage + metrics. Both stages of
+pipeline.job publish each finished partition with a manifest record
+and resume by skipping the ids ``finished_partitions`` lists: stage A
+one record per read group (its files are written by the job, one per
+bucket it reached), stage B one partition per stage-A bucket through
+``write_partition``.
 
-Layout (one directory per run):
+Layout of a ``write_partition`` root:
 
     <root>/
       partition=<pid>/            # one directory per partition
@@ -12,11 +13,11 @@ Layout (one directory per run):
       manifest/
         <pid>.json                # atomic (tmp+rename) lineage record
 
-A partition's manifest record is written ONLY after its data file is
-fully written and renamed into place, so a killed job can never leave
-a manifest entry pointing at partial data. Records carry lineage
-(input fingerprint) and metrics (rows in/out, bytes, wall seconds) —
-the audit trail of what each partition did.
+A partition's manifest record is written ONLY after its data is fully
+written and renamed into place, so a killed job can never leave a
+manifest entry pointing at partial data. Records carry lineage (input
+fingerprint) and metrics (rows in/out, bytes, wall seconds) — the
+audit trail of what each partition did.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ def _fingerprint(table: pa.Table) -> str:
     return h.hexdigest()
 
 
-def finished_partitions(root: str) -> dict[int, dict]:
-    mdir = os.path.join(root, "manifest")
+def finished_partitions(root: str, manifest: str = "manifest") -> dict[int, dict]:
+    """The records of the finished partitions under ``root/<manifest>``,
+    by partition id."""
+    mdir = os.path.join(root, manifest)
     out: dict[int, dict] = {}
     if not os.path.isdir(mdir):
         return out
@@ -57,6 +60,29 @@ def finished_partitions(root: str) -> dict[int, dict]:
     return out
 
 
+def publish(root: str, pid: int, input_table: pa.Table, rows_out: int,
+            bytes_out: int, t_start: float, manifest: str = "manifest") -> dict:
+    """Atomically write partition ``pid``'s manifest record under
+    ``root/<manifest>``; call it only once the partition's data is in
+    place."""
+    rec = {
+        "partition_id": pid,
+        "status": "done",
+        "input_fingerprint": _fingerprint(input_table),
+        "rows_in": input_table.num_rows,
+        "rows_out": rows_out,
+        "bytes_out": bytes_out,
+        "wall_sec": round(time.time() - t_start, 3),
+    }
+    mdir = os.path.join(root, manifest)
+    os.makedirs(mdir, exist_ok=True)
+    mtmp = os.path.join(mdir, f".{pid}.json.tmp")
+    with open(mtmp, "w") as fh:
+        json.dump(rec, fh)
+    os.replace(mtmp, os.path.join(mdir, f"{pid}.json"))
+    return rec
+
+
 def write_partition(root: str, pid: int, input_table: pa.Table,
                     output_table: pa.Table, t_start: float) -> dict:
     """Atomically publish one partition's output + manifest record."""
@@ -66,22 +92,8 @@ def write_partition(root: str, pid: int, input_table: pa.Table,
     final = os.path.join(pdir, "data.parquet")
     pq.write_table(output_table, tmp)
     os.replace(tmp, final)
-    rec = {
-        "partition_id": pid,
-        "status": "done",
-        "input_fingerprint": _fingerprint(input_table),
-        "rows_in": input_table.num_rows,
-        "rows_out": output_table.num_rows,
-        "bytes_out": os.path.getsize(final),
-        "wall_sec": round(time.time() - t_start, 3),
-    }
-    mdir = os.path.join(root, "manifest")
-    os.makedirs(mdir, exist_ok=True)
-    mtmp = os.path.join(mdir, f".{pid}.json.tmp")
-    with open(mtmp, "w") as fh:
-        json.dump(rec, fh)
-    os.replace(mtmp, os.path.join(mdir, f"{pid}.json"))
-    return rec
+    return publish(root, pid, input_table, output_table.num_rows,
+                   os.path.getsize(final), t_start)
 
 
 def read_output(root: str) -> ray.data.Dataset:

@@ -45,7 +45,7 @@ class FastPointEncoder:
                                   extent=self.extent, version=self.version)
         return pa.table({
             "z": batch["z"], "x": batch["x"], "y": batch["y"],
-            "mvt": pa.array(mvts, pa.binary()),
+            "mvt": mvts,
             "n_features": pa.array(lengths, pa.int64()),
             "n_layers": pa.array(np.ones(n, dtype=np.int32), pa.int32()),
         })

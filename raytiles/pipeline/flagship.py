@@ -3,12 +3,13 @@
 Ray-Data-native composition (see stages.py for the stage graph). The
 caller owns the Ray session (never ray.init here — driver contract).
 
-``mentions`` is the map side of every pipeline over a parquet webpages
-table (the flagship, the job's stage A, the tile families and the
-spatial/raster ops): one Ray operator whose tasks read their own row
-groups and run parse -> assign -> the caller's per-block
-step. ``geoparse`` runs the same parse kernel over Datasets that other
-sources read (jsonl, csv, warc, ...).
+``mentions`` is the map side of every Ray Data pipeline over a parquet
+webpages table (the flagship, the tile families and the spatial/raster
+ops): one Ray operator whose tasks read their own row groups and run
+``parse_group`` (read -> parse -> assign), then the caller's per-block
+step. The tile job's stage A runs the same kernel over the same read
+groups as plain Ray tasks (pipeline.job). ``geoparse`` runs the parse
+kernel over Datasets that other sources read (jsonl, csv, warc, ...).
 """
 
 from __future__ import annotations
@@ -153,16 +154,32 @@ def _read_docs(fs: pafs.FileSystem, group: dict[str, list[int] | None]) -> pa.Ta
     return pa.concat_tables(parts) if parts else _DOC_SCHEMA.empty_table()
 
 
+def parse_group(fs: pafs.FileSystem, group: dict[str, list[int] | None],
+                parser: GeoParser, assigner: TileAssigner | None = None
+                ) -> tuple[pa.Table, pa.Table]:
+    """The map kernel of every parquet-webpages pipeline, for one read
+    group: read its url + text, parse, then assign when ``assigner``
+    is set. Returns (docs read, mention rows). ``mentions`` maps it
+    over a Dataset; the tile job's stage A runs it as one Ray task per
+    group and fingerprints the docs for its checkpoint."""
+    docs = _read_docs(fs, group)
+    out = _parse_docs(parser, docs)
+    return docs, (out if assigner is None else assigner(out))
+
+
 def mentions(path: str, zoom: int | None = None, *, with_cells: bool = False,
              then: Callable[[pa.Table], pa.Table] | None = None
              ) -> tuple[ray.data.Dataset, int]:
-    """The map side of every parquet-webpages pipeline as ONE Ray
-    operator: each task reads its own group of the input's row groups,
-    then runs parse -> ``TileAssigner(zoom)`` (when
-    ``zoom`` is set) -> ``then`` (when set, e.g. pack_tile_partials)
-    over the whole group at once. Returns the Dataset and
-    ``util.layout``'s reducer count for the same input, so a
-    downstream exchange's width belongs to the input it read.
+    """The map side of every Ray Data pipeline over parquet webpages
+    (the flagship, citytiles, linetiles, polytiles and the spatial and
+    raster ops) as ONE Ray operator: each task runs ``parse_group`` on
+    its own group of the input's row groups — read -> parse ->
+    ``TileAssigner(zoom)`` (when ``zoom`` is set) — then ``then``
+    (when set, e.g. pack_tile_partials) over the whole group at once.
+    The tile job's stage A runs ``parse_group`` over the same groups
+    as one checkpointed Ray task each, without a Dataset. Returns the
+    Dataset and ``util.layout``'s reducer count for the same input, so
+    a downstream exchange's width belongs to the input it read.
 
     The read runs inside the UDF on purpose: behind Ray's ReadParquet
     operator the read costs ~3x its kernel time in planning and block
@@ -180,11 +197,8 @@ def mentions(path: str, zoom: int | None = None, *, with_cells: bool = False,
     assigner = None if zoom is None else TileAssigner(zoom, with_cells=with_cells)
 
     def read_parse(batch: pa.Table) -> pa.Table:
-        docs = pa.concat_tables([_read_docs(fs, groups[g])
-                                 for g in batch["group"].to_pylist()])
-        out = _parse_docs(parser, docs)
-        if assigner is not None:
-            out = assigner(out)
+        out = pa.concat_tables([parse_group(fs, groups[g], parser, assigner)[1]
+                                for g in batch["group"].to_pylist()])
         return out if then is None else then(out)
 
     ds = ray.data.from_items([{"group": g} for g in range(len(groups))],

@@ -2,12 +2,14 @@
 
     python scripts/tile_job.py [sf_dir] [output_root] [zoom]
 
-Owns its Ray session (guarded init). The bucket count (= checkpoint
-partitions) follows the input's on-disk size (util.layout's reducer
-count). Resumes from the manifest only when output_root holds a run of
-the same sf_dir and zoom: stage A's marker records both (and the
-resolved bucket count), and any other run there is dropped and
-recomputed.
+Owns its Ray session (guarded init). Stage A runs one checkpointed
+task per read group and stage B one per bucket; the bucket count
+(= stage-B partitions) follows the input's on-disk size (util.layout's
+reducer count). Resumes from the manifests only when output_root holds
+a run of the same sf_dir and zoom over the same input files: stage A
+records those, the resolved bucket count and the group plan before
+its first group starts, and any other run there is dropped and
+recomputed. Prints the job's summary as one JSON line.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Resumable job: end-to-end equivalence with the streaming flagship,
-and kill/resume semantics at the bucket level."""
+and kill/resume semantics at the read-group and bucket level."""
 
+import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -148,6 +150,113 @@ def test_stage_a_reruns_on_rewritten_input(ray_session, tmp_path):
     assert summary["tiles"] == fresh["tiles"]
     assert summary["bytes_out"] == fresh["bytes_out"]
     assert run_job(str(src), root, 12, n_buckets=8)["computed"] == 0
+
+
+@pytest.fixture
+def four_groups(monkeypatch):
+    """64 KiB read blocks: stage A plans sf0.001 as 4 read groups."""
+    from raytiles import util
+    monkeypatch.setattr(util, "MIN_BLOCK_BYTES", 64 << 10)
+
+
+def _group_files(root: str, g: int) -> list[str]:
+    return glob.glob(os.path.join(root, "stage_a", "bucket=*", f"group-{g}.parquet"))
+
+
+def _same_tiles(root: str, want) -> None:
+    got = _sorted_tiles(root)
+    assert got[["z", "x", "y"]].equals(want[["z", "x", "y"]])
+    assert (got["mvt"] == want["mvt"]).all()
+
+
+@pytest.mark.usefixtures("four_groups")
+def test_stage_a_resumes_per_group(ray_session, wp_path, tmp_path):
+    """Each stage-A read group is a checkpoint partition: after a kill
+    inside stage A (no done-marker, one group without its manifest and
+    files) the rerun recomputes only that group, keeps the finished
+    groups' records, encodes stage B again and writes byte-identical
+    tiles."""
+    from raytiles.pipeline.job import A_MANIFEST, run_job
+    root = str(tmp_path / "job")
+    first = run_job(wp_path, root, 12)
+    assert first["groups"] == first["groups_computed"] == 4
+    want = _sorted_tiles(root)
+    recs = cp.finished_partitions(root, A_MANIFEST)
+    assert sorted(recs) == [0, 1, 2, 3]
+    for g, rec in recs.items():
+        assert rec["input_fingerprint"] and rec["rows_in"] > 0 and rec["rows_out"] > 0
+        assert rec["bytes_out"] == sum(os.path.getsize(f) for f in _group_files(root, g))
+        assert rec["wall_sec"] >= 0
+    # stage A keeps only the columns stage B reads
+    f = _group_files(root, 0)[0]
+    assert pq.read_schema(f).names == ["url", "mention_idx", "z", "x", "y",
+                                       "local_x", "local_y"]
+
+    os.remove(os.path.join(root, "stage_a.done"))
+    os.remove(os.path.join(root, A_MANIFEST, "1.json"))
+    for f in _group_files(root, 1):
+        os.remove(f)
+    summary = run_job(wp_path, root, 12)
+    assert (summary["groups_skipped"], summary["groups_computed"]) == (3, 1)
+    again = cp.finished_partitions(root, A_MANIFEST)
+    assert {g: again[g] for g in (0, 2, 3)} == {g: recs[g] for g in (0, 2, 3)}
+    assert again[1]["input_fingerprint"] == recs[1]["input_fingerprint"]
+    assert again[1]["rows_out"] == recs[1]["rows_out"]
+    assert summary["skipped"] == 0 and summary["computed"] == first["partitions"]
+    _same_tiles(root, want)
+    resumed = run_job(wp_path, root, 12)
+    assert resumed["groups_computed"] == resumed["computed"] == 0
+
+
+@pytest.mark.usefixtures("four_groups")
+def test_stage_a_partial_run_with_changed_arguments(ray_session, wp_path, tmp_path):
+    """Finished groups are only resumed for the arguments they were
+    computed with: after a kill inside stage A, a rerun at another zoom
+    recomputes every group."""
+    from raytiles.pipeline.job import A_MANIFEST, run_job
+    root = str(tmp_path / "job")
+    run_job(wp_path, root, 12)
+    os.remove(os.path.join(root, "stage_a.done"))
+    os.remove(os.path.join(root, A_MANIFEST, "2.json"))
+    summary = run_job(wp_path, root, 8)
+    assert (summary["groups_skipped"], summary["groups_computed"]) == (0, 4)
+    assert summary["skipped"] == 0
+    tiles = _sorted_tiles(root)
+    assert set(tiles["z"]) == {8}
+    fresh = str(tmp_path / "fresh")
+    run_job(wp_path, fresh, 8)
+    _same_tiles(root, _sorted_tiles(fresh))
+
+
+@pytest.mark.usefixtures("four_groups")
+def test_stage_a_recomputes_old_layout_root(ray_session, wp_path, tmp_path):
+    """A root written by the Ray Data stage A (one write_parquet of
+    Ray-named files per bucket, a done-marker without the group plan,
+    no group manifests) is recomputed, not resumed: no old file is read
+    next to the new ones."""
+    from raytiles.pipeline.job import A_MANIFEST, run_job
+    root = str(tmp_path / "job")
+    first = run_job(wp_path, root, 12)
+    want = _sorted_tiles(root)
+    a_dir = os.path.join(root, "stage_a")
+    for d in os.listdir(a_dir):
+        for g, f in enumerate(sorted(os.listdir(os.path.join(a_dir, d)))):
+            os.replace(os.path.join(a_dir, d, f),
+                       os.path.join(a_dir, d, f"8c1f3e0a_{g:06d}_000000.parquet"))
+    with open(os.path.join(root, "stage_a.done")) as fh:
+        marker = json.load(fh)
+    with open(os.path.join(root, "stage_a.done"), "w") as fh:
+        json.dump({k: marker[k] for k in ("webpages_path", "zoom", "n_buckets",
+                                          "input")}, fh)
+    os.remove(os.path.join(root, "stage_a.args"))
+    shutil.rmtree(os.path.join(root, A_MANIFEST))
+
+    summary = run_job(wp_path, root, 12)
+    assert summary["groups_computed"] == first["groups"]
+    assert summary["skipped"] == 0
+    for d in os.listdir(a_dir):
+        assert all(f.startswith("group-") for f in os.listdir(os.path.join(a_dir, d)))
+    _same_tiles(root, want)
 
 
 def test_tile_bucket_pinned():

@@ -129,6 +129,67 @@ def test_fastpoint_encoder_large_string_parity():
         .metadata[b"url"] == ("St", b"https://a/1")
 
 
+def _random_packed_tiles(rng: np.random.Generator) -> pa.Table:
+    """Packed tile rows of random sizes (one tile with no features,
+    one past 128 features) drawn from small url and mention_idx pools,
+    so values repeat within a tile and varints run past one byte."""
+    url_pool = ["", "https://a/1", "https://b/2", "https://é.example/ü",
+                "https://long.example/" + "p" * 150]
+    midx_pool = [0, 1, 5, 127, 128, 300, 70000]
+    sizes = [0, 1, 3, 140, int(rng.integers(1, 40)), 260]
+    rng.shuffle(sizes)
+    tiles = {"urls": [], "mention_idx": [], "local_x": [], "local_y": []}
+    for n in sizes:
+        tiles["urls"].append([url_pool[i] for i in rng.integers(0, len(url_pool), n)])
+        tiles["mention_idx"].append(rng.choice(midx_pool, n).tolist())
+        tiles["local_x"].append(rng.integers(-80, 4200, n).tolist())
+        tiles["local_y"].append(rng.integers(-80, 4200, n).tolist())
+    t = len(sizes)
+    return pa.table({
+        "z": pa.array([12] * t, pa.int32()),
+        "x": pa.array(rng.integers(0, 4096, t), pa.int32()),
+        "y": pa.array(rng.integers(0, 4096, t), pa.int32()),
+        "urls": pa.array(tiles["urls"], pa.list_(pa.string())),
+        **{k: pa.array(v, pa.list_(pa.int32())) for k, v in tiles.items()
+           if k != "urls"}})
+
+
+def test_fastpoint_encoder_matches_encode_tile_on_random_tiles():
+    """Seeded property test: FastPointEncoder over random multi-tile
+    batches equals the general codec's encode_tile run per tile, with
+    multi-byte varints (feature ids, mention_idx values and url lengths
+    >= 128), values repeating within a tile, an empty url, a tile with
+    no features (b""), large_string urls and a batch with no rows."""
+    from raytiles.codec.encode import encode_tile
+    from raytiles.codec.model import I64V, ST, Feature, Layer, VectorTile
+    enc = FastPointEncoder()
+    for seed in range(6):
+        batch = _random_packed_tiles(np.random.default_rng(seed))
+        out = enc(batch)
+        assert out.schema.field("mvt").type == pa.binary()
+        assert out["n_features"].to_pylist() == \
+            [len(u) for u in batch["urls"].to_pylist()]
+        for i, row in enumerate(batch.select(
+                ["urls", "mention_idx", "local_x", "local_y"]).to_pylist()):
+            feats = [Feature(fid=f,
+                             metadata={b"url": (ST, u.encode()),
+                                       b"mention_idx": (I64V, m)},
+                             geometry=np.array([[lx, ly]], dtype=np.int64))
+                     for f, (u, m, lx, ly) in enumerate(zip(
+                         row["urls"], row["mention_idx"],
+                         row["local_x"], row["local_y"]))]
+            want = encode_tile(VectorTile({b"mentions": Layer(
+                name=b"mentions", version=2, extent=4096, points=feats)})) \
+                if feats else b""
+            assert out["mvt"][i].as_py() == want, (seed, i)
+        big = batch.set_column(
+            batch.column_names.index("urls"), "urls",
+            batch["urls"].cast(pa.list_(pa.large_string())))
+        assert enc(big)["mvt"].equals(out["mvt"])
+        empty = enc(batch.slice(0, 0))
+        assert empty.num_rows == 0 and empty.schema == out.schema
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestDistributed:
     def test_assignments_match_oracle(self, webpages_500, tmp_path):
