@@ -47,7 +47,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import cogroup, exchange, join, run_starts, sum_by_key
+from ..util import (cogroup, exchange, join, run_rank, run_starts,
+                    sum_by_key)
 from .text import TOKEN_RE
 
 # fixed xor constants deriving the i-th minhash permutation from one md5
@@ -229,10 +230,10 @@ def minhash_pairs(sf_dir: str) -> ray.data.Dataset:
         order = np.lexsort((doc, bh, band))
         band, bh, doc = band[order], bh[order], doc[order]
         n = len(doc)
-        starts = np.flatnonzero(run_starts(band, bh))
-        sizes = np.diff(np.append(starts, n))
+        new = run_starts(band, bh)
+        sizes = np.diff(np.append(np.flatnonzero(new), n))
         # cap each signature group at its MAX_BAND_GROUP smallest docs
-        offs = np.arange(n) - np.repeat(starts, sizes)
+        offs = run_rank(new)
         keep = offs < MAX_BAND_GROUP
         doc, offs = doc[keep], offs[keep]
         sizes = np.minimum(sizes, MAX_BAND_GROUP)

@@ -25,24 +25,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..util import bucket_of, derive_buckets
+from ..util import bucket_of, derive_buckets, run_rank, run_starts
 
 
 def _p(sf_dir: str, table: str) -> str:
     return f"{sf_dir}/{table}.parquet"
-
-
-def _ranks_of_sorted(key: np.ndarray) -> np.ndarray:
-    """1-based rank within each run of equal keys (key already sorted)."""
-    n = len(key)
-    if n == 0:
-        return np.empty(0, np.int64)
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new)
-    seg = np.cumsum(new) - 1
-    return np.arange(n, dtype=np.int64) - starts[seg] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +53,7 @@ def top_orders_per_customer(sf_dir: str, k: int = 3) -> ray.data.Dataset:
 
     def _topk(cust, okey, price, kk):
         order = np.lexsort((okey, -price, cust))
-        rank = _ranks_of_sorted(cust[order])
+        rank = run_rank(run_starts(cust[order])) + 1
         keep = order[rank <= kk]
         return keep, rank[rank <= kk]
 
@@ -127,7 +114,7 @@ def stratified_sample(sf_dir: str,
 
     def _strat_topn(lang_codes, skey, ids, nn):
         order = np.lexsort((ids, skey, lang_codes))
-        rank = _ranks_of_sorted(lang_codes[order])
+        rank = run_rank(run_starts(lang_codes[order])) + 1
         keep = order[rank <= nn]
         return keep, rank[rank <= nn]
 

@@ -3,8 +3,9 @@
 - rasterize: mention points -> per-tile density grids (G x G uint32
   counts). Distributed exactly like the tile aggregation: per-batch
   partial grids would be dense waste, so partials stay sparse
-  (gx, gy, n) rows and the groupby sums them; the dense grid is
-  materialized only at the end (binary column, one row per tile).
+  (tile, gx, gy, n) rows and one ``util.exchange`` on the packed tile
+  key sums them; the dense grid is materialized only at the end
+  (binary column, one row per tile).
 - vectorize: density grid -> polygon features (one closed ring per
   hot grid cell, MVT winding) -> encoded "heat" MVT layer via the
   GENERIC encoder (exercises the polygon command path distributed).
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -25,49 +25,64 @@ from ..codec.encode import encode_tile
 from ..codec.fastshape import encode_heat_tiles
 from ..codec.model import DO, I64V, Feature, Layer, VectorTile
 from ..pipeline.flagship import mentions
-from ..util import bucket_of, derive_buckets
+from ..pipeline.stages import N_MERGE_BUCKETS
+from ..util import derive_buckets, exchange, run_starts, sum_by_key
 
 GRID = 256  # raster resolution per tile (4096 extent / 256 = 16px cells)
 CELL = 4096 // GRID
+_M26 = np.int64((1 << 26) - 1)
 
 
-def _partial_cells(assignments: ray.data.Dataset) -> ray.data.Dataset:
-    """Per-batch partial cell counts + the bounded tile-hash bucket
-    column (the same shuffle pattern as the tile aggregation: never a
+def _tile_key(z: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One int64 per tile, (z << 52) | (x << 26) | y: disjoint fields
+    for zoom <= 25, so keys sort in (z, x, y) order."""
+    return (z.astype(np.int64) << 52) | (x.astype(np.int64) << 26) \
+        | y.astype(np.int64)
+
+
+def _tile_zxy(key: np.ndarray):
+    """(z, x, y) int64 arrays of ``_tile_key`` keys."""
+    return key >> 52, (key >> 26) & _M26, key & _M26
+
+
+def _cells_by_tile(assignments: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """Per-batch partial cell counts (tile, gx, gy, n), exchanged on
+    the packed tile key so all of a tile's cells meet in one ``fn``
+    call (the same shuffle pattern as the tile aggregation: never a
     ray-data groupby over a high-cardinality key — its Aggregate over
     30k (z,x,y,gx,gy) keys measured 21.7s where this path takes ~2s)."""
-    from ..pipeline.stages import tile_bucket
-
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({
-            "z": pc.cast(b["z"], pa.int64()),
-            "x": pc.cast(b["x"], pa.int64()),
-            "y": pc.cast(b["y"], pa.int64()),
+            "tile": _tile_key(b["z"].to_numpy(), b["x"].to_numpy(),
+                              b["y"].to_numpy()),
             "gx": (b["local_x"].to_numpy() // CELL).astype(np.int64),
             "gy": (b["local_y"].to_numpy() // CELL).astype(np.int64),
         })
-        g = pa.TableGroupBy(t, ["z", "x", "y", "gx", "gy"]).aggregate(
+        g = pa.TableGroupBy(t, ["tile", "gx", "gy"]).aggregate(
             [("gx", "count")])
-        out = g.rename_columns(["z", "x", "y", "gx", "gy", "n"])
-        bucket = tile_bucket(out["z"].to_numpy(), out["x"].to_numpy(),
-                             out["y"].to_numpy())
-        return out.append_column("bucket", pa.array(bucket))
+        return g.rename_columns(["tile", "gx", "gy", "n"])
 
-    return assignments.map_batches(partial, batch_format="pyarrow")
+    return exchange(assignments.map_batches(partial, batch_format="pyarrow"),
+                    "tile", fn, N_MERGE_BUCKETS)
+
+
+def _cell_sums(g: pa.Table) -> pa.Table:
+    """(tile, gx, gy, n_sum): one exchange group's partial cell counts
+    summed per cell."""
+    return pa.TableGroupBy(g.select(["tile", "gx", "gy", "n"]),
+                           ["tile", "gx", "gy"]).aggregate([("n", "sum")])
 
 
 def raster_cells(assignments: ray.data.Dataset) -> ray.data.Dataset:
     """Sparse raster: (z, x, y, gx, gy, n) — count of mentions per
     GRID x GRID cell per tile. SQL twin: gx = local_x // 16."""
-    def final_sum(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(
-            g.select(["z", "x", "y", "gx", "gy", "n"]),
-            ["z", "x", "y", "gx", "gy"]).aggregate([("n", "sum")])
-        out = out.rename_columns(["z", "x", "y", "gx", "gy", "n"])
-        return out.set_column(5, "n", pc.cast(out["n"], pa.int64()))
+    def unpack(b: pa.Table) -> pa.Table:  # per block, not per bucket
+        z, x, y = _tile_zxy(b["tile"].to_numpy())
+        return pa.table({"z": z, "x": x, "y": y, "gx": b["gx"], "gy": b["gy"],
+                         "n": b["n_sum"]})
 
-    return _partial_cells(assignments).groupby("bucket").map_groups(
-        final_sum, batch_format="pyarrow")
+    return _cells_by_tile(assignments, _cell_sums) \
+        .map_batches(unpack, batch_format="pyarrow", batch_size=None)
 
 
 _RASTER_BYTES = None  # set below once GRID is final
@@ -98,41 +113,25 @@ def densify_bucket(g: pa.Table) -> pa.Table:
     group's tiles stack into ONE (T, GRID, GRID) array scattered in a
     single fancy-index pass, and the binary column is built straight
     from that array's buffer."""
-    summed = pa.TableGroupBy(
-        g.select(["z", "x", "y", "gx", "gy", "n"]),
-        ["z", "x", "y", "gx", "gy"]).aggregate([("n", "sum")])
-    z = summed["z"].to_numpy()
-    x = summed["x"].to_numpy()
-    y = summed["y"].to_numpy()
-    gx = summed["gx"].to_numpy()
-    gy = summed["gy"].to_numpy()
-    n = summed["n_sum"].to_numpy().astype(np.int64)
-    order = np.lexsort((y, x, z))
-    z, x, y, gx, gy, n = (a[order] for a in (z, x, y, gx, gy, n))
-    key_change = np.empty(z.size, dtype=bool)
-    key_change[0] = True
-    key_change[1:] = (z[1:] != z[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    starts = np.flatnonzero(key_change)
-    T = starts.size
-    tidx = np.cumsum(key_change) - 1
-    grids = np.zeros((T, GRID, GRID), dtype=np.uint32)
-    grids[tidx, gy, gx] = n
-    n_points = np.add.reduceat(n, starts)
-    return pa.table({
-        "z": pa.array(z[starts].astype(np.int64), pa.int64()),
-        "x": pa.array(x[starts].astype(np.int64), pa.int64()),
-        "y": pa.array(y[starts].astype(np.int64), pa.int64()),
-        "raster": _binary_from_grids(grids),
-        "n_points": pa.array(n_points.astype(np.int64), pa.int64()),
-    })
+    s = _cell_sums(g)
+    tile, gx, gy, n = (s[c].to_numpy() for c in ("tile", "gx", "gy", "n_sum"))
+    order = np.argsort(tile, kind="stable")
+    tile, gx, gy, n = (a[order] for a in (tile, gx, gy, n))
+    first = run_starts(tile)
+    starts = np.flatnonzero(first)
+    grids = np.zeros((starts.size, GRID, GRID), dtype=np.uint32)
+    grids[np.cumsum(first) - 1, gy, gx] = n
+    z, x, y = _tile_zxy(tile[starts])
+    return pa.table({"z": z, "x": x, "y": y,
+                     "raster": _binary_from_grids(grids),
+                     "n_points": np.add.reduceat(n, starts)})
 
 
 def rasterize_tiles(assignments: ray.data.Dataset) -> ray.data.Dataset:
     """Dense per-tile grids: {z, x, y, raster: binary} where raster is
     GRID*GRID little-endian uint32 counts (row-major, y-down). One
     bucket group densifies all its tiles in one vectorized call."""
-    return _partial_cells(assignments).groupby("bucket").map_groups(
-        densify_bucket, batch_format="pyarrow")
+    return _cells_by_tile(assignments, densify_bucket)
 
 
 def vectorize_raster(rasters: ray.data.Dataset, threshold: int = 1) -> ray.data.Dataset:
@@ -208,33 +207,25 @@ def tile_pyramid(assignments: ray.data.Dataset,
                  zooms=(6, 8, 10, 12), base_zoom: int = 12) -> ray.data.Dataset:
     """Tile-pyramid rollup: mention counts per tile at several zooms
     from ONE base-zoom assignment pass (parent tile = child >> dz).
-    Partial counts per batch, bounded-bucket final merge. SQL twin:
-    UNION ALL of integer-divided groupbys."""
-    from ..pipeline.stages import tile_bucket
-
+    Partial counts per batch, one exchange on the packed tile key
+    into the final merge. SQL twin: UNION ALL of integer-divided
+    groupbys."""
     def partial(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy().astype(np.int64)
         y = b["y"].to_numpy().astype(np.int64)
-        n = x.size
-        zs = np.repeat(np.asarray(zooms, np.int64), n)
+        zs = np.repeat(np.asarray(zooms, np.int64), x.size)
         xs = np.concatenate([x >> (base_zoom - zp) for zp in zooms])
         ys = np.concatenate([y >> (base_zoom - zp) for zp in zooms])
-        t = pa.table({"z": zs, "x": xs, "y": ys})
-        out = pa.TableGroupBy(t, ["z", "x", "y"]).aggregate([([], "count_all")])
-        out = out.rename_columns(["z", "x", "y", "n"])
-        bucket = tile_bucket(out["z"].to_numpy(), out["x"].to_numpy(),
-                             out["y"].to_numpy())
-        return out.set_column(3, "n", pc.cast(out["n"], pa.int64())) \
-            .append_column("bucket", pa.array(bucket))
+        tile, n = np.unique(_tile_key(zs, xs, ys), return_counts=True)
+        return pa.table({"tile": tile, "n": n.astype(np.int64)})
 
     def final_sum(g: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(g.select(["z", "x", "y", "n"]),
-                              ["z", "x", "y"]).aggregate([("n", "sum")])
-        out = out.rename_columns(["z", "x", "y", "n"])
-        return out.set_column(3, "n", pc.cast(out["n"], pa.int64()))
+        tile, n = sum_by_key(g["tile"].to_numpy(), g["n"].to_numpy())
+        z, x, y = _tile_zxy(tile)
+        return pa.table({"z": z, "x": x, "y": y, "n": n})
 
-    return assignments.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final_sum, batch_format="pyarrow")
+    return exchange(assignments.map_batches(partial, batch_format="pyarrow"),
+                    "tile", final_sum, N_MERGE_BUCKETS)
 
 
 def heatmap_pipeline(webpages_path: str, zoom: int = 8) -> ray.data.Dataset:
@@ -253,11 +244,11 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     Shape: per-batch partial counts per tile (np.unique — a batch
     holds few distinct tiles), each partial REPLICATED to its <= 9
     clipped neighbor targets carrying (n_hood_part, n_self_part), then
-    ONE bounded-bucket shuffle on splitmix(target) and a vectorized
-    sum-merge.  Replication commutes with summation, so partials
-    replicate BEFORE the shuffle and the merge is a plain groupby-sum
-    — no join, no second pass.  At the edges neighbors clip (no
-    wraparound), matching the oracle's BETWEEN self-join."""
+    ONE exchange on the target tile and a vectorized sum-merge.
+    Replication commutes with summation, so partials replicate BEFORE
+    the shuffle and the merge is a plain sum by key — no join, no
+    second pass. At the edges neighbors clip (no wraparound), matching
+    the oracle's BETWEEN self-join."""
     n_buckets = derive_buckets(webpages_path, 1024)
     n = 1 << zoom
 
@@ -275,36 +266,32 @@ def tile_neighborhood(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
                 hood.append(cnt[ok])
                 own.append(cnt[ok] if dx == 0 and dy == 0
                            else np.zeros(int(ok.sum()), dtype=np.int64))
-        tx = np.concatenate(tx)
-        ty = np.concatenate(ty)
         return pa.table({
-            "x": tx, "y": ty,
+            "key": np.concatenate(tx) * n + np.concatenate(ty),
             "n_hood": np.concatenate(hood).astype(np.int64),
-            "n_self": np.concatenate(own),
-            "bucket": bucket_of(tx * n + ty, n_buckets)})
+            "n_self": np.concatenate(own)})
 
     def merge(g: pa.Table) -> pa.Table:
-        t = pa.TableGroupBy(g.select(["x", "y", "n_hood", "n_self"]),
-                            ["x", "y"]).aggregate(
-            [("n_hood", "sum"), ("n_self", "sum")])
-        t = t.rename_columns(["x", "y", "n_hood", "n_features"])
-        t = t.filter(pc.greater(t["n_features"], 0))  # only non-empty tiles
+        key, hood, own = sum_by_key(*(g[c].to_numpy()
+                                      for c in ("key", "n_hood", "n_self")))
+        live = own > 0  # only non-empty tiles
+        key = key[live]
         return pa.table({
-            "z": np.full(t.num_rows, zoom, dtype=np.int64),
-            "x": t["x"], "y": t["y"],
-            "n_features": pc.cast(t["n_features"], pa.int64()),
-            "n_hood": pc.cast(t["n_hood"], pa.int64())})
+            "z": np.full(key.size, zoom, dtype=np.int64),
+            "x": key // n, "y": key % n,
+            "n_features": own[live], "n_hood": hood[live]})
 
     partials, _ = mentions(webpages_path, zoom, then=partial)
-    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(partials, "key", merge, n_buckets)
 
 
-def _cluster_partials(webpages_path: str, zoom: int, radius: int):
-    """Shared partial stage for the supercluster family: per batch,
-    collapse mentions to per-(tile, grid-cell) rows carrying
-    (n, sum_local_x, sum_local_y); bucket by splitmix(tile) so one
-    tile's whole cell set (<= (4096/radius)^2 rows) co-locates."""
-    n_buckets = derive_buckets(webpages_path, 512)
+def _clusters_by_tile(webpages_path: str, zoom: int, radius: int, fn):
+    """Shared exchange of the supercluster family: per batch, collapse
+    mentions to per-(tile, grid-cell) rows carrying (key, n,
+    sum_local_x, sum_local_y), then exchange on the tile so one tile's
+    whole cell set (<= (4096/radius)^2 rows) meets in one ``fn`` call.
+    A cell's key is (tile * cells + gx) * cells + gy, with tile =
+    x * 2^zoom + y and cells = 4096 // radius."""
     n = 1 << zoom
     cells = 4096 // radius
 
@@ -319,12 +306,18 @@ def _cluster_partials(webpages_path: str, zoom: int, radius: int):
         cnt = np.bincount(inv)
         sx = np.bincount(inv, weights=lx).astype(np.int64)
         sy = np.bincount(inv, weights=ly).astype(np.int64)
-        ut = uk // (cells * cells)
         return pa.table({
             "key": uk, "n": cnt.astype(np.int64), "sx": sx, "sy": sy,
-            "bucket": bucket_of(ut, n_buckets)})
+            "tile": uk // (cells * cells)})
 
-    return partial, n, cells
+    partials, _ = mentions(webpages_path, zoom, then=partial)
+    return exchange(partials, "tile", fn, derive_buckets(webpages_path, 512))
+
+
+def _cluster_sums(g: pa.Table):
+    """(key, n, sx, sy) per cell of one ``_clusters_by_tile`` group,
+    keys ascending."""
+    return sum_by_key(*(g[c].to_numpy() for c in ("key", "n", "sx", "sy")))
 
 
 def point_clusters(webpages_path: str, zoom: int = 12,
@@ -335,17 +328,13 @@ def point_clusters(webpages_path: str, zoom: int = 12,
     cell becomes one cluster row with an exact integer centroid
     (sum // n — a singleton's centroid IS its original point) and its
     point count. Per-batch partials collapse a batch to occupied-cell
-    rows before the ONE bounded splitmix(tile) bucket shuffle; a tile
-    contributes at most (4096/radius)^2 rows per batch, so reducer
-    state is bounded at any corpus size."""
-    partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
+    rows before the ONE exchange on the tile; a tile contributes at
+    most (4096/radius)^2 rows per batch, so reducer state is bounded
+    at any corpus size."""
+    n, cells = 1 << zoom, 4096 // radius
 
     def merge(g: pa.Table) -> pa.Table:
-        m = pa.TableGroupBy(g.select(["key", "n", "sx", "sy"]),
-                            "key").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum")])
-        key = m["key"].to_numpy()
-        npts = m["n_sum"].to_numpy().astype(np.int64)
+        key, npts, sx, sy = _cluster_sums(g)
         gy = key % cells
         gx = (key // cells) % cells
         tile = key // (cells * cells)
@@ -354,11 +343,9 @@ def point_clusters(webpages_path: str, zoom: int = 12,
             "x": pa.array(tile // n), "y": pa.array(tile % n),
             "gx": pa.array(gx), "gy": pa.array(gy),
             "n": pa.array(npts),
-            "cx": pa.array(m["sx_sum"].to_numpy().astype(np.int64) // npts),
-            "cy": pa.array(m["sy_sum"].to_numpy().astype(np.int64) // npts)})
+            "cx": pa.array(sx // npts), "cy": pa.array(sy // npts)})
 
-    partials, _ = mentions(webpages_path, zoom, then=partial)
-    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return _clusters_by_tile(webpages_path, zoom, radius, merge)
 
 
 def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
@@ -368,18 +355,11 @@ def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
     metadata — fid = gx * cells + gy so the feature set is
     deterministic. Same single bounded shuffle; the reducer both
     merges cell partials and encodes its tiles."""
-    partial, n, cells = _cluster_partials(webpages_path, zoom, radius)
+    n, cells = 1 << zoom, 4096 // radius
 
     def encode_group(g: pa.Table) -> pa.Table:
-        m = pa.TableGroupBy(g.select(["key", "n", "sx", "sy"]),
-                            "key").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum")])
-        key = m["key"].to_numpy()
-        order = np.argsort(key)
-        key = key[order]
-        npts = m["n_sum"].to_numpy().astype(np.int64)[order]
-        cx = m["sx_sum"].to_numpy().astype(np.int64)[order] // npts
-        cy = m["sy_sum"].to_numpy().astype(np.int64)[order] // npts
+        key, npts, sx, sy = _cluster_sums(g)
+        cx, cy = sx // npts, sy // npts
         cell = key % (cells * cells)
         tile = key // (cells * cells)
         ut, start = np.unique(tile, return_index=True)
@@ -404,8 +384,7 @@ def cluster_tiles_pipeline(webpages_path: str, zoom: int = 12,
                          "mvt": pa.array(om, pa.binary()),
                          "n_clusters": pa.array(on, pa.int64())})
 
-    partials, _ = mentions(webpages_path, zoom, then=partial)
-    return partials.groupby("bucket").map_groups(encode_group, batch_format="pyarrow")
+    return _clusters_by_tile(webpages_path, zoom, radius, encode_group)
 
 
 def raster_blur(webpages_path: str, zoom: int = 8,
@@ -418,11 +397,11 @@ def raster_blur(webpages_path: str, zoom: int = 8,
 
     Shape: convolution commutes with summation, so each batch's
     per-cell count partials REPLICATE to their <= 9 clipped neighbor
-    targets with the kernel weight pre-multiplied; ONE bounded
-    splitmix(target) bucket shuffle and a vectorized sum-merge finish
-    it — no join, no dense grid materialization, work proportional to
-    OCCUPIED cells (9x), never to grid area. All-integer weights keep
-    the result exact at any merge order."""
+    targets with the kernel weight pre-multiplied; ONE exchange on the
+    target cell and a vectorized sum-merge finish it — no join, no
+    dense grid materialization, work proportional to OCCUPIED cells
+    (9x), never to grid area. All-integer weights keep the result
+    exact at any merge order."""
     n_buckets = derive_buckets(webpages_path, 1024)
     cells = 4096 // grid_cell
     span = (1 << zoom) * cells  # global cells per axis
@@ -445,24 +424,16 @@ def raster_blur(webpages_path: str, zoom: int = 8,
             tx.append(nx[ok])
             ty.append(ny[ok])
             tw.append(cnt[ok] * w)
-        tx = np.concatenate(tx)
-        ty = np.concatenate(ty)
-        tgt = tx * span + ty
         return pa.table({
-            "key": tgt, "v": np.concatenate(tw).astype(np.int64),
-            "bucket": bucket_of(tgt, n_buckets)})
+            "key": np.concatenate(tx) * span + np.concatenate(ty),
+            "v": np.concatenate(tw).astype(np.int64)})
 
     def merge(g: pa.Table) -> pa.Table:
-        m = pa.TableGroupBy(g.select(["key", "v"]), "key").aggregate(
-            [("v", "sum")])
-        key = m["key"].to_numpy()
-        return pa.table({"gx": pa.array(key // span),
-                         "gy": pa.array(key % span),
-                         "blurred": pa.array(
-                             m["v_sum"].to_numpy().astype(np.int64))})
+        key, v = sum_by_key(g["key"].to_numpy(), g["v"].to_numpy())
+        return pa.table({"gx": key // span, "gy": key % span, "blurred": v})
 
     partials, _ = mentions(webpages_path, zoom, then=partial)
-    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(partials, "key", merge, n_buckets)
 
 
 # marching squares: case index = 8*TL + 4*TR + 2*BR + 1*BL (inside
@@ -621,20 +592,11 @@ def _iso_cells_group(g: pa.Table, threshold: int):
     (z,x,y) key would overflow). All of a tile's cells co-locate in
     its bucket group by construction. Returns (tidx, gx, gy, uz, ux,
     uy): cell rows indexed into the group's unique sorted tiles."""
-    summed = pa.TableGroupBy(
-        g.select(["z", "x", "y", "gx", "gy", "n"]),
-        ["z", "x", "y", "gx", "gy"]).aggregate([("n", "sum")])
-    keep = pc.greater_equal(summed["n_sum"], threshold)
-    summed = summed.filter(keep)
-    z = summed["z"].to_numpy().astype(np.int64)
-    x = summed["x"].to_numpy().astype(np.int64)
-    y = summed["y"].to_numpy().astype(np.int64)
-    tkey = (z << np.int64(52)) | (x << np.int64(26)) | y
-    ut, tidx = np.unique(tkey, return_inverse=True)
-    mask = np.int64((1 << 26) - 1)
-    return (tidx.astype(np.int64), summed["gx"].to_numpy(),
-            summed["gy"].to_numpy(),
-            ut >> np.int64(52), (ut >> np.int64(26)) & mask, ut & mask)
+    s = _cell_sums(g)
+    tile, gx, gy, n = (s[c].to_numpy() for c in ("tile", "gx", "gy", "n_sum"))
+    keep = n >= threshold
+    ut, tidx = np.unique(tile[keep], return_inverse=True)
+    return (tidx.astype(np.int64), gx[keep], gy[keep]) + _tile_zxy(ut)
 
 
 def iso_segments(webpages_path: str, zoom: int = 8,
@@ -644,7 +606,7 @@ def iso_segments(webpages_path: str, zoom: int = 8,
     1-2 segments between edge midpoints (integer tile-local pixels).
 
     Fully SPARSE end to end: sparse per-batch cell partials -> ONE
-    bounded-bucket shuffle -> per-group threshold filter + sparse
+    exchange on the tile -> per-group threshold filter + sparse
     marching squares (_ms_segments_sparse). The dense raster (256KB
     per tile, ~11GB at sf0.1) never materializes for this query; work
     and memory track occupied cells only."""
@@ -666,9 +628,7 @@ def iso_segments(webpages_path: str, zoom: int = 8,
             "x0": pa.array(x0, pa.int64()), "y0": pa.array(y0, pa.int64()),
             "x1": pa.array(x1, pa.int64()), "y1": pa.array(y1, pa.int64())})
 
-    ds = mentions(webpages_path, zoom)[0]
-    return _partial_cells(ds).groupby("bucket").map_groups(
-        fn, batch_format="pyarrow")
+    return _cells_by_tile(mentions(webpages_path, zoom)[0], fn)
 
 
 def isolines_pipeline(webpages_path: str, zoom: int = 8,
@@ -733,7 +693,7 @@ def isolines_pipeline(webpages_path: str, zoom: int = 8,
         # chaining (order-sensitive) emits the same polylines/bytes
         order = np.argsort(tt, kind="stable")
         tt, x0, y0, x1, y1 = (a[order] for a in (tt, x0, y0, x1, y1))
-        starts = np.flatnonzero(np.concatenate([[True], tt[1:] != tt[:-1]]))
+        starts = np.flatnonzero(run_starts(tt))
         bounds = np.append(starts, tt.size)
         rows = {"z": [], "x": [], "y": [], "mvt": [], "n_lines": []}
         for k in range(starts.size):
@@ -757,6 +717,4 @@ def isolines_pipeline(webpages_path: str, zoom: int = 8,
             "mvt": pa.array(rows["mvt"], pa.binary()),
             "n_lines": pa.array(rows["n_lines"], pa.int64())})
 
-    ds = mentions(webpages_path, zoom)[0]
-    return _partial_cells(ds).groupby("bucket").map_groups(
-        fn, batch_format="pyarrow")
+    return _cells_by_tile(mentions(webpages_path, zoom)[0], fn)

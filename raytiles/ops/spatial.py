@@ -1,8 +1,18 @@
-"""Spatial-join operators over geoparsed mentions: radius (geofence)
-join, nearest-neighbour join, per-host bounding boxes, and bbox tile
-cover — the spatial-join surface of the north rule ("spatial-join +
-tiling engine ... point-in-polygon, kNN") beyond the tile/cell
-assignment the flagship already does.
+"""Spatial-join operators over geoparsed mentions — the spatial-join
+surface of the north rule ("spatial-join + tiling engine ...
+point-in-polygon, kNN") beyond the tile/cell assignment the flagship
+already does:
+
+- joins against the city table: ``geofence_join`` (radius) and
+  ``nearest_city`` (nearest neighbour);
+- per-host geometry: ``host_bbox`` and its ``host_tile_cover``; the
+  host-hull zones of ``zonal_stats`` (point-in-polygon counts) and
+  ``cell_cover`` (hierarchical cell cover);
+- per-url paths: ``trajectory_lengths``, ``segment_bearings`` and the
+  ``comention_edges`` co-occurrence graph;
+- the occupied grid: ``hotspot_regions`` (dense cells),
+  ``cell_compact``, and the tile graph ``tile_adjacency`` with
+  ``tile_moran``, ``tile_components`` and ``tile_hotspots`` over it.
 
 Distance semantics: squared coordinate-space distance
 d2 = (lat-a)^2 + (lon-b)^2 — pure IEEE multiply/add, so the engine
@@ -13,10 +23,13 @@ closure — a large fence set would broadcast via ray.put exactly like
 the flagship's R-tree (pipeline/stages.py).
 
 Scale shape: the radius and nearest joins are shuffle-free broadcast
-joins (one (batch × fences) numpy matrix per batch); host_bbox follows
-the repo's partial -> bounded-md5-bucket -> merge discipline; the tile
-cover bounds its fan-out by the cover zoom (<= 4^z tiles per host —
-pick z so 4^z is a sane per-row cap, documented per the
+joins (one (batch × fences) numpy matrix per batch), and the per-url
+ops finish per batch (a url's mentions are contiguous in one batch).
+Every aggregate is per-batch partials -> ONE ``util.exchange`` on its
+key -> a vectorized merge; run scans are ``util.run_starts``. The
+tile-graph ops share one occupied-tile count, ``_tile_counts``. The
+tile cover bounds its fan-out by the cover zoom (<= 4^z tiles per host
+— pick z so 4^z is a sane per-row cap, documented per the
 custom-operator ladder).
 """
 
@@ -27,14 +40,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data.aggregate import Sum
 
 from ..geo.tilemath import lonlat_to_tile
 from ..pipeline.flagship import mentions
 from ..pipeline.synth import CITIES
-from ..util import bucket_of, derive_buckets, join, pair_key
+from ..util import (derive_buckets, exchange, join, run_rank, run_starts,
+                    sum_by_key)
 from .relational import _fq
 from .similarity import _cached_stage
-from .webcorpus import HOST_RE, _md5_u64
+from .webcorpus import HOST_RE, _with_md5
 
 FENCE_RADIUS_DEG = 2.0  # squared-degree geofence radius
 
@@ -114,11 +129,10 @@ def host_bbox(webpages_path: str) -> ray.data.Dataset:
              ("lon_i4", "sum"), ("lat_i4", "sum")])
         g = g.rename_columns(["host", "n_mentions", "min_lon", "max_lon",
                               "min_lat", "max_lat", "sum_lon", "sum_lat"])
-        h = _md5_u64(g["host"].to_pylist())
-        return g.append_column("bucket", pa.array(bucket_of(h, n_buckets)))
+        return _with_md5(g, "host", "h")
 
     def merge(g: pa.Table) -> pa.Table:
-        m = pa.TableGroupBy(g.drop_columns(["bucket"]), "host").aggregate(
+        m = pa.TableGroupBy(g, "host").aggregate(
             [("n_mentions", "sum"), ("min_lon", "min"), ("max_lon", "max"),
              ("min_lat", "min"), ("max_lat", "max"),
              ("sum_lon", "sum"), ("sum_lat", "sum")])
@@ -137,9 +151,9 @@ def host_bbox(webpages_path: str) -> ray.data.Dataset:
             "cen_lon": pa.array(cen(m["sum_lon"])),
             "cen_lat": pa.array(cen(m["sum_lat"]))})
 
-    return _mentions(webpages_path) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(_mentions(webpages_path)
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "h", merge, n_buckets)
 
 
 def host_tile_cover(webpages_path: str, zoom: int = 4) -> ray.data.Dataset:
@@ -190,8 +204,8 @@ def zonal_stats(webpages_path: str, zoom: int = 3,
     prefilter -> exact convex half-plane test, both fully vectorized
     over the candidate (point, hull) pair list (ragged edge expansion
     + logical reduceat — no per-pair Python). Per-batch partial
-    counts (<= n_hosts rows) merge through ONE bounded
-    splitmix(md5(host)) bucket groupby.
+    counts (<= n_zones rows) merge through ONE exchange on the zone's
+    index. No mentions means no hulls, and zero rows.
 
     Boundary semantics: on-edge points (hull vertices are mention
     points by construction) count INSIDE (cross >= 0 on every edge).
@@ -212,6 +226,12 @@ def zonal_stats(webpages_path: str, zoom: int = 3,
     from ..pipeline.polytiles import host_hulls
 
     hulls = host_hulls(webpages_path, zoom).to_pandas()  # small side
+    if hulls.empty:
+        return ray.data.from_arrow(pa.table({
+            "host": pa.array([], pa.string()),
+            "n_inside": pa.array([], pa.int64()),
+            "area": pa.array([], pa.float64()),
+            "density": pa.array([], pa.float64())}))
     hulls = hulls.sort_values("host").head(n_zones).reset_index(drop=True)
     hosts = hulls["host"].to_numpy()
     pts = [np.frombuffer(b, np.float64).reshape(-1, 2)
@@ -274,11 +294,6 @@ def zonal_stats(webpages_path: str, zoom: int = 3,
                       partial_factory),
         batch_format="pyarrow")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket", pa.array(
-            bucket_of(t["hull_idx"].to_numpy().astype(np.uint64),
-                      n_buckets)))
-
     def merge_factory():
         _, _, _, hs, ar = ray.get(state_ref)
 
@@ -298,8 +313,7 @@ def zonal_stats(webpages_path: str, zoom: int = 3,
         return fn
 
     merge = _cached_stage(("zonal_merge", state_ref.hex()), merge_factory)
-    return partials.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(partials, "hull_idx", merge, n_buckets)
 
 
 def cell_cover(webpages_path: str, min_zoom: int = 2, max_zoom: int = 6,
@@ -329,15 +343,16 @@ def cell_cover(webpages_path: str, min_zoom: int = 2, max_zoom: int = 6,
     # that space: cell (z, x, y) spans a square of side S(z) px
     hull_zoom = 3
     hulls = host_hulls(webpages_path, hull_zoom)
+    EMPTY = pa.table({"host": pa.array([], pa.string()),
+                      "z": pa.array([], pa.int64()),
+                      "x": pa.array([], pa.int64()),
+                      "y": pa.array([], pa.int64()),
+                      "full": pa.array([], pa.int64())})
 
     def cover_batch(b: pa.Table) -> pa.Table:
         host = np.asarray(b["host"])
         if len(host) == 0:
-            return pa.table({"host": pa.array([], pa.string()),
-                             "z": pa.array([], pa.int64()),
-                             "x": pa.array([], pa.int64()),
-                             "y": pa.array([], pa.int64()),
-                             "full": pa.array([], pa.int64())})
+            return EMPTY
         pts = [np.frombuffer(p, np.float64).reshape(-1, 2)
                for p in b["pts"].to_pylist()]
         counts = np.array([len(p) for p in pts], np.int64)
@@ -441,7 +456,10 @@ def cell_cover(webpages_path: str, min_zoom: int = 2, max_zoom: int = 6,
                              np.empty(0, np.int64))})
 
     # bound the zone set like zonal_stats (sorted-host head)
-    hp = hulls.to_pandas().sort_values("host").head(n_zones)
+    hp = hulls.to_pandas()
+    if hp.empty:  # no mentions, no hulls
+        return ray.data.from_arrow(EMPTY)
+    hp = hp.sort_values("host").head(n_zones)
     small = ray.data.from_pandas(hp.reset_index(drop=True))
     return small.map_batches(cover_batch, batch_format="pyarrow")
 
@@ -467,7 +485,7 @@ def trajectory_lengths(webpages_path: str) -> ray.data.Dataset:
             return pa.table({"url": pa.array([], pa.string()),
                              "n_legs": pa.array([], pa.int64()),
                              "length_mm": pa.array([], pa.int64())})
-        adj = url[1:] == url[:-1]
+        adj = ~run_starts(url)[1:]
         plat, clat = lat[:-1][adj], lat[1:][adj]
         plon, clon = lon[:-1][adj], lon[1:][adj]
         sa = np.sin(np.radians((clat - plat) / 2))
@@ -477,8 +495,7 @@ def trajectory_lengths(webpages_path: str) -> ray.data.Dataset:
         mm = np.floor(12742000000.0 * np.arcsin(np.sqrt(h))) \
             .astype(np.int64)
         leg_url = url[1:][adj]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], leg_url[1:] != leg_url[:-1])))
+        starts = np.flatnonzero(run_starts(leg_url))
         return pa.table({
             "url": pa.array(leg_url[starts].tolist(), pa.string()),
             "n_legs": pa.array(np.diff(np.concatenate(
@@ -486,6 +503,7 @@ def trajectory_lengths(webpages_path: str) -> ray.data.Dataset:
             "length_mm": pa.array(np.add.reduceat(mm, starts))})
 
     return _mentions(webpages_path).map_batches(fn, batch_format="pyarrow")
+
 
 def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
     """Location co-occurrence graph: one edge per unordered pair of
@@ -498,8 +516,8 @@ def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
     distinct cells per url and the (a < b) pair expansion complete
     per batch with one lexsort + ragged-arange arithmetic — pair rows
     never ship raw; each batch emits pre-aggregated (cell_a, cell_b,
-    n) partials, which merge through ONE bounded splitmix(pair)
-    bucket shuffle. Per-url pair fan-out is quadratic in that url's
+    n) partials, which merge through ONE exchange on cell_a (a pair's
+    partials share it). Per-url pair fan-out is quadratic in that url's
     DISTINCT cells — bounded by the geoparse grammar (mentions per
     page), the knob a production run would cap; partials make the
     shuffle payload the number of distinct edges per batch, not the
@@ -512,38 +530,23 @@ def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
         a, b2 = cell_a[order], cell_b[order]
         w = (np.ones(len(a), np.int64) if n is None else
              np.asarray(n, np.int64)[order])
-        new = np.empty(len(a), dtype=bool)
-        new[0] = True
-        new[1:] = (a[1:] != a[:-1]) | (b2[1:] != b2[:-1])
-        st = np.flatnonzero(new)
+        st = np.flatnonzero(run_starts(a, b2))
         return a[st], b2[st], np.add.reduceat(w, st)
 
     def expand(b: pa.Table) -> pa.Table:
         empty = pa.table({"cell_a": np.empty(0, np.int64),
                           "cell_b": np.empty(0, np.int64),
-                          "n": np.empty(0, np.int64),
-                          "bucket": np.empty(0, np.int64)})
+                          "n": np.empty(0, np.int64)})
         url = np.asarray(b["url"])
-        if len(url) == 0:
-            return empty
         cells = tm.cell_id(b["lon"].to_numpy(), b["lat"].to_numpy(), res)
-        new_url = np.empty(len(url), dtype=bool)
-        new_url[0] = True
-        new_url[1:] = url[1:] != url[:-1]
-        seg = np.cumsum(new_url) - 1
+        seg = np.cumsum(run_starts(url)) - 1
         # distinct (url, cell), cells ascending within a url
         order = np.lexsort((cells, seg))
         s, c = seg[order], cells[order]
-        keep = np.empty(len(s), dtype=bool)
-        keep[0] = True
-        keep[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1])
+        keep = run_starts(s, c)
         s, c = s[keep], c[keep]
         idx = np.arange(len(s))
-        new = np.empty(len(s), dtype=bool)
-        new[0] = True
-        new[1:] = s[1:] != s[:-1]
-        segfirst = np.maximum.accumulate(np.where(new, idx, 0))
-        loc = idx - segfirst           # local rank within the url
+        loc = run_rank(run_starts(s))  # local rank within the url
         npairs = int(loc.sum())
         if npairs == 0:
             return empty
@@ -552,11 +555,9 @@ def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
         right = np.repeat(idx, loc)
         blk = np.cumsum(loc) - loc     # exclusive pair offset per row
         left = (np.arange(npairs) - np.repeat(blk, loc)) \
-            + np.repeat(segfirst, loc)
+            + np.repeat(idx - loc, loc)
         a, b2, n = _edge_partials(c[left], c[right])
-        return pa.table({
-            "cell_a": a, "cell_b": b2, "n": n,
-            "bucket": bucket_of(pair_key(a, b2), n_buckets)})
+        return pa.table({"cell_a": a, "cell_b": b2, "n": n})
 
     def merge(g: pa.Table) -> pa.Table:
         a, b2, n = _edge_partials(g["cell_a"].to_numpy(),
@@ -564,9 +565,9 @@ def comention_edges(webpages_path: str, res: int = 5) -> ray.data.Dataset:
                                   g["n"].to_numpy())
         return pa.table({"cell_a": a, "cell_b": b2, "n_docs": n})
 
-    return _mentions(webpages_path) \
-        .map_batches(expand, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(_mentions(webpages_path)
+                    .map_batches(expand, batch_format="pyarrow"),
+                    "cell_a", merge, n_buckets)
 
 
 def hotspot_regions(webpages_path: str, res: int = 5,
@@ -591,15 +592,15 @@ def hotspot_regions(webpages_path: str, res: int = 5,
     from ..pipeline.flagship import cell_counts_pipeline
 
     counts = cell_counts_pipeline(webpages_path, res).to_pandas()
-    counts = counts[counts["n_mentions"] >= threshold]
-    cells = np.sort(counts[f"cell_r{res}"].to_numpy(np.int64))
-    n = len(cells)
-    out_schema = {
-        f"cell_r{res}": np.empty(0, np.int64),
-        "region_id": np.empty(0, np.int64),
-        "n_mentions": np.empty(0, np.int64)}
+    if len(counts):  # no mentions: no cells, and no columns either
+        counts = counts[counts["n_mentions"] >= threshold]
+    n = len(counts)
     if n == 0:
-        return ray.data.from_arrow(pa.table(out_schema))
+        return ray.data.from_arrow(pa.table({
+            f"cell_r{res}": np.empty(0, np.int64),
+            "region_id": np.empty(0, np.int64),
+            "n_mentions": np.empty(0, np.int64)}))
+    cells = np.sort(counts[f"cell_r{res}"].to_numpy(np.int64))
 
     # packed id: res * 2^56 + cx * 2^28 + cy  (tilemath.cell_id layout)
     XMUL = np.int64(1 << 28)
@@ -648,55 +649,46 @@ def cell_compact(webpages_path: str, zoom: int = 12,
     whose zoom-level expansion equals the occupied tile set exactly.
 
     Shape: the occupied set is a BOUNDED reduction (per-batch distinct
-    (x, y) partials -> one splitmix(tile) bucket groupby), so the
-    promote-fold runs on the driver at O(occupied cells): per level
-    one sort + reduceat sibling count, promoted parents carry up,
-    remainders emit. Same bounded-table-folds-driver-side contract as
-    hotspot_regions."""
-    n_buckets = derive_buckets(webpages_path, 256)
+    tile keys -> one exchange on the key), so the promote-fold runs on
+    the driver at O(occupied cells): per level one sort + reduceat
+    sibling count, promoted parents carry up, remainders emit. Same
+    bounded-table-folds-driver-side contract as hotspot_regions. It
+    needs no counts, so it skips ``_tile_counts``, whose counting cost
+    it ~10 % at sf0.01 on a 1-vCPU host."""
     import pandas as pd
 
-    n = 1 << zoom
-
     def partial(b: pa.Table) -> pa.Table:
-        key = b["x"].to_numpy().astype(np.int64) * n \
-            + b["y"].to_numpy().astype(np.int64)
-        u = np.unique(key)
-        return pa.table({"key": u, "bucket": bucket_of(u, n_buckets)})
+        return pa.table({"key": np.unique(
+            b["x"].to_numpy().astype(np.int64) * KX
+            + b["y"].to_numpy().astype(np.int64))})
 
     def dedup(g: pa.Table) -> pa.Table:
         return pa.table({"key": np.unique(g["key"].to_numpy())})
 
-    occ = _mentions(webpages_path, zoom) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(dedup, batch_format="pyarrow") \
-        .to_pandas()["key"].to_numpy()
-
+    occ = exchange(_mentions(webpages_path, zoom)
+                   .map_batches(partial, batch_format="pyarrow"),
+                   "key", dedup, derive_buckets(webpages_path, 256)) \
+        .to_pandas()
+    keys = occ["key"].to_numpy(np.int64) if len(occ) else \
+        np.empty(0, np.int64)
     out_z, out_x, out_y = [], [], []
-    keys = np.unique(occ)
-    cur_n = n
     for z in range(zoom, min_zoom, -1):
         if keys.size == 0:
             break
-        x, y = keys // cur_n, keys % cur_n
-        parent = (x >> 1) * (cur_n >> 1) + (y >> 1)
+        parent = ((keys // KX) >> 1) * KX + ((keys % KX) >> 1)
         order = np.argsort(parent, kind="stable")
         p = parent[order]
-        starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        starts = np.flatnonzero(run_starts(p))
         sizes = np.diff(np.append(starts, p.size))
         full = sizes == 4  # a parent has exactly 4 distinct children
-        promote = np.repeat(full, sizes)
-        keep = keys[order][~promote]
-        kx, ky = keep // cur_n, keep % cur_n
+        keep = keys[order][~np.repeat(full, sizes)]
         out_z.append(np.full(keep.size, z, np.int64))
-        out_x.append(kx)
-        out_y.append(ky)
+        out_x.append(keep // KX)
+        out_y.append(keep % KX)
         keys = p[starts][full]
-        cur_n >>= 1
-    x, y = keys // cur_n, keys % cur_n
     out_z.append(np.full(keys.size, min_zoom, np.int64))
-    out_x.append(x)
-    out_y.append(y)
+    out_x.append(keys // KX)
+    out_y.append(keys % KX)
     df = pd.DataFrame({"z": np.concatenate(out_z),
                        "x": np.concatenate(out_x),
                        "y": np.concatenate(out_y)})
@@ -723,7 +715,7 @@ def segment_bearings(webpages_path: str) -> ray.data.Dataset:
         if len(url) < 2:
             return pa.table({"sector": pa.array([], pa.int64()),
                              "n_legs": pa.array([], pa.int64())})
-        adj = url[1:] == url[:-1]
+        adj = ~run_starts(url)[1:]
         plat, clat = lat[:-1][adj], lat[1:][adj]
         plon, clon = lon[:-1][adj], lon[1:][adj]
         dlon_r = np.radians(clon - plon)
@@ -749,6 +741,45 @@ def segment_bearings(webpages_path: str) -> ray.data.Dataset:
         .repartition(1).map_batches(merge, batch_format="pyarrow")
 
 
+KX = np.int64(1) << np.int64(26)  # tile key x * KX + y (zoom <= 25)
+
+
+def _tile_counts(webpages_path: str, zoom: int) -> ray.data.Dataset:
+    """The occupied tiles at ``zoom`` as (key = x * KX + y, n
+    mentions): per-batch ``np.unique`` partials, then ONE exchange on
+    the key (a tile lives in exactly one bucket) whose merge is
+    ``sum_by_key``. The one occupied-tile count behind the tile
+    graph."""
+    def partial(b: pa.Table) -> pa.Table:
+        key = b["x"].to_numpy().astype(np.int64) * KX \
+            + b["y"].to_numpy().astype(np.int64)
+        u, cnt = np.unique(key, return_counts=True)
+        return pa.table({"key": u, "n": cnt.astype(np.int64)})
+
+    def merge(g: pa.Table) -> pa.Table:
+        key, n = sum_by_key(g["key"].to_numpy(), g["n"].to_numpy())
+        return pa.table({"key": key, "n": n})
+
+    return exchange(_mentions(webpages_path, zoom)
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "key", merge, derive_buckets(webpages_path, 256))
+
+
+def _count_totals(b: pa.Table) -> pa.Table:
+    """One row of a ``_tile_counts`` batch's N, S1 = sum n, S2 = sum n^2."""
+    n = b["n"].to_numpy()
+    return pa.table({"nt": [len(n)], "s1": [int(n.sum())],
+                     "s2": [int((n * n).sum())]})
+
+
+def _totals(ds: ray.data.Dataset, partial, cols) -> tuple:
+    """Exact int sums of ``partial``'s one-row-per-batch columns
+    ``cols`` over ``ds``; 0 where ``ds`` has no rows."""
+    agg = ds.map_batches(partial, batch_format="pyarrow") \
+        .aggregate(*(Sum(c, alias_name=c) for c in cols))
+    return tuple(int(agg[c] or 0) for c in cols)
+
+
 def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     """Occupied-tile adjacency graph: one edge per unordered pair of
     OCCUPIED tiles that touch in the 8-neighborhood at ``zoom``, with
@@ -758,49 +789,28 @@ def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     (xa, ya) < (xb, yb) lexicographic.
 
     Scale shape — NO broadcast of the occupied set and NO all-pairs:
-    (1) per-batch partial counts collapse mentions to tile rows;
-    (2) ONE bounded splitmix(tile) bucket groupby finalizes counts
-    (a tile lives in exactly one bucket);
-    (3) each tile re-keys itself (side 0) and PROBES its four FORWARD
+    (1) ``_tile_counts`` collapses mentions to one row per tile;
+    (2) each tile re-keys itself (side 0) and PROBES its four FORWARD
     neighbors (side 1, keyed by the neighbor tile) — forward =
     (dx, dy) in {(1,-1), (1,0), (1,1), (0,1)}, so each unordered
     adjacent pair meets exactly once with the lexicographic order
-    built in; (4) a second bounded bucket groupby co-locates each
-    key's side-0 row (the neighbor, if occupied) with its side-1
-    probes and matches them vectorized. Probes into unoccupied tiles
-    die silently; out-of-grid probes are never emitted. Shuffle
-    payload is O(occupied tiles), never O(mentions).
+    built in; (3) a second exchange on the key co-locates each key's
+    side-0 row (the neighbor, if occupied) with its side-1 probes and
+    matches them vectorized. Probes into unoccupied tiles die
+    silently; out-of-grid probes are never emitted. Shuffle payload
+    is O(occupied tiles), never O(mentions).
 
     Exact DuckDB twin: oracles.tile_adjacency_sql (self-join of the
     per-tile counts on |dx| <= 1 AND |dy| <= 1 with the same
     lexicographic order)."""
-    n_buckets = derive_buckets(webpages_path, 256)
+    return _tile_edges(_tile_counts(webpages_path, zoom), zoom,
+                       derive_buckets(webpages_path, 256))
 
-    ds = _mentions(webpages_path, zoom)
-    KX = np.int64(1) << np.int64(26)  # zoom <= 25: disjoint fields
 
-    def partial(b: pa.Table) -> pa.Table:
-        x = b["x"].to_numpy().astype(np.int64)
-        y = b["y"].to_numpy().astype(np.int64)
-        key = x * KX + y
-        u, cnt = np.unique(key, return_counts=True)
-        return pa.table({
-            "key": pa.array(u), "n": pa.array(cnt.astype(np.int64)),
-            "bucket": pa.array(bucket_of(u, n_buckets))})
-
-    def merge_counts(g: pa.Table) -> pa.Table:
-        key = g["key"].to_numpy()
-        n = g["n"].to_numpy()
-        order = np.argsort(key, kind="stable")
-        key, n = key[order], n[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], key[1:] != key[:-1]))) if len(key) else \
-            np.empty(0, np.int64)
-        return pa.table({
-            "key": pa.array(key[starts]),
-            "n": pa.array(np.add.reduceat(n, starts).astype(np.int64)
-                          if len(key) else n)})
-
+def _tile_edges(counts: ray.data.Dataset, zoom: int,
+                n_buckets: int) -> ray.data.Dataset:
+    """tile_adjacency's steps (2) and (3) over a ``_tile_counts``
+    table."""
     n_tiles = 1 << zoom
     FWD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
@@ -820,14 +830,12 @@ def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
             oxs.append(x[ok])
             oys.append(y[ok])
             ons.append(n[ok])
-        k = np.concatenate(keys)
         return pa.table({
-            "key": pa.array(k),
+            "key": pa.array(np.concatenate(keys)),
             "side": pa.array(np.concatenate(sides)),
             "ox": pa.array(np.concatenate(oxs)),
             "oy": pa.array(np.concatenate(oys)),
-            "on": pa.array(np.concatenate(ons)),
-            "bucket": pa.array(bucket_of(k, n_buckets))})
+            "on": pa.array(np.concatenate(ons))})
 
     def match(g: pa.Table) -> pa.Table:
         key = g["key"].to_numpy()
@@ -859,10 +867,8 @@ def tile_adjacency(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
             "n_a": pa.array(an.astype(np.int64)),
             "n_b": pa.array(bn[p].astype(np.int64))})
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(merge_counts, batch_format="pyarrow") \
-        .map_batches(emit, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(match, batch_format="pyarrow")
+    return exchange(counts.map_batches(emit, batch_format="pyarrow"),
+                    "key", match, n_buckets)
 
 
 def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
@@ -888,16 +894,13 @@ def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     NULL when there are no tiles, no edges or equal counts (den = 0),
     expected_i when N = 1.
 
-    Scale shape: the count aggregates fold from per-batch partials
-    (three int64s per batch); the edge aggregates fold the same way
-    over tile_adjacency's bounded edge stream. No driver
-    materialization beyond six integers. The input parses twice (once
-    per chain) — a production job would checkpoint the assignment
-    table (pipeline/job.stage_a) and feed both from it."""
-    from ray.data.aggregate import Sum
-
-    nb = derive_buckets(webpages_path, 256)
-    edges = tile_adjacency(webpages_path, zoom)
+    Scale shape: the input parses once, into one materialized
+    ``_tile_counts`` table. N, S1 and S2 fold from its per-batch
+    partials (three int64s per batch); the edge aggregates fold the
+    same way over the bounded edge stream tile_adjacency's steps build
+    from that table. No driver materialization beyond six integers."""
+    counts = _tile_counts(webpages_path, zoom).materialize()
+    n_t, s1, s2 = _totals(counts, _count_totals, ("nt", "s1", "s2"))
 
     def edge_partial(b: pa.Table) -> pa.Table:
         na = b["n_a"].to_numpy()
@@ -907,44 +910,8 @@ def tile_moran(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
             "sc": pa.array([int((na * nb_).sum())], pa.int64()),
             "sa": pa.array([int((na + nb_).sum())], pa.int64())})
 
-    eagg = edges.map_batches(edge_partial, batch_format="pyarrow") \
-        .aggregate(Sum("e", alias_name="e"), Sum("sc", alias_name="sc"),
-                   Sum("sa", alias_name="sa"))
-
-    ds = _mentions(webpages_path, zoom)
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        x = b["x"].to_numpy().astype(np.int64)
-        y = b["y"].to_numpy().astype(np.int64)
-        key = x * (np.int64(1) << np.int64(26)) + y
-        u, cnt = np.unique(key, return_counts=True)
-        return pa.table({"key": pa.array(u),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(bucket_of(u, nb))})
-
-    def count_merge(g: pa.Table) -> pa.Table:
-        key = g["key"].to_numpy()
-        n = g["n"].to_numpy()
-        order = np.argsort(key, kind="stable")
-        key, n = key[order], n[order]
-        if len(key) == 0:
-            return pa.table({"nt": pa.array([], pa.int64()),
-                             "s1": pa.array([], pa.int64()),
-                             "s2": pa.array([], pa.int64())})
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        tot = np.add.reduceat(n, starts)
-        return pa.table({
-            "nt": pa.array([len(starts)], pa.int64()),
-            "s1": pa.array([int(tot.sum())], pa.int64()),
-            "s2": pa.array([int((tot * tot).sum())], pa.int64())})
-
-    cagg = ds.map_batches(count_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(count_merge, batch_format="pyarrow") \
-        .aggregate(Sum("nt", alias_name="nt"), Sum("s1", alias_name="s1"),
-                   Sum("s2", alias_name="s2"))
-
-    n_t, s1, s2 = (int(cagg[c] or 0) for c in ("nt", "s1", "s2"))
-    e, sc, sa = (int(eagg[c] or 0) for c in ("e", "sc", "sa"))
+    edges = _tile_edges(counts, zoom, derive_buckets(webpages_path, 256))
+    e, sc, sa = _totals(edges, edge_partial, ("e", "sc", "sa"))
     moran = None  # NULL, as the twin's x / 0 is NULL
     if n_t and e:
         xbar = s1 / n_t
@@ -971,8 +938,8 @@ def tile_components(webpages_path: str, zoom: int = 12,
 
     Same distributed min-label propagation as ops.dedup.dup_clusters
     (labels start as identity; each round one bucket-exchange join
-    (util.join) ships labels over the bidirectional edges and a
-    bounded-bucket groupby takes per-node minima; sum(label) is the
+    (util.join) ships labels over the bidirectional edges and one
+    exchange on the node takes per-node minima; sum(label) is the
     monotone convergence scalar). Spatial components are chains, not
     cliques — diameter, and so round count, can reach tens for
     coastline-shaped regions; max_rounds=32 with a loud failure, never
@@ -981,8 +948,6 @@ def tile_components(webpages_path: str, zoom: int = 12,
     Exact DuckDB twin: oracles.tile_components_sql (recursive
     reachability walk, min label per node)."""
     nb = derive_buckets(webpages_path, 256)
-
-    KX = np.int64(1) << np.int64(26)
     pairs = tile_adjacency(webpages_path, zoom)
 
     def to_edges(t: pa.Table) -> pa.Table:
@@ -1033,8 +998,7 @@ def tile_components(webpages_path: str, zoom: int = 12,
 
     def node_partial(t: pa.Table) -> pa.Table:
         u = np.unique(t["src"].to_numpy()).astype(np.int64)
-        return pa.table({"key": pa.array(u), "label": pa.array(u),
-                         "bucket": pa.array(bucket_of(u, nb))})
+        return pa.table({"key": pa.array(u), "label": pa.array(u)})
 
     def label_merge(g: pa.Table) -> pa.Table:
         ids = g["key"].to_numpy()
@@ -1045,13 +1009,8 @@ def tile_components(webpages_path: str, zoom: int = 12,
         return pa.table({"key": pa.array(uniq.astype(np.int64)),
                          "label": pa.array(lab_min)})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "bucket", pa.array(bucket_of(t["key"].to_numpy(), nb)))
-
-    labels = edges.map_batches(node_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(label_merge, batch_format="pyarrow") \
-        .materialize()
+    labels = exchange(edges.map_batches(node_partial, batch_format="pyarrow"),
+                      "key", label_merge, nb).materialize()
     prev_sum = labels.sum("label")
 
     for _ in range(max_rounds):
@@ -1063,10 +1022,7 @@ def tile_components(webpages_path: str, zoom: int = 12,
         cand = labels.map_batches(
             lambda t: t.select(["key", "label"]), batch_format="pyarrow") \
             .union(j.map_batches(msg, batch_format="pyarrow"))
-        labels = cand.map_batches(add_bucket, batch_format="pyarrow") \
-            .groupby("bucket").map_groups(label_merge,
-                                          batch_format="pyarrow") \
-            .materialize()
+        labels = exchange(cand, "key", label_merge, nb).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             break
@@ -1101,95 +1057,45 @@ def tile_hotspots(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
     round((neigh_sum / k) / (S1 / N), 6) with both sides evaluating
     the identical two-division sequence on the same exact integers.
 
-    Scale shape: neighbor sums fold from tile_adjacency's edge stream
+    Scale shape: the input parses once, into one materialized
+    ``_tile_counts`` table, which gives N and S1 and feeds
+    tile_adjacency's steps. Neighbor sums fold from that edge stream
     (each edge scatters its counterpart's count to both endpoints) in
-    ONE bounded bucket groupby that also carries each tile's own count
-    as a side row — isolated tiles survive with k = 0. The input
-    parses per chain (see tile_moran's note on checkpointing the
-    assignment table instead)."""
-    from ray.data.aggregate import Sum
-
+    ONE exchange on the tile that also carries each tile's own count
+    as a side row — isolated tiles survive with k = 0."""
     nb = derive_buckets(webpages_path, 256)
+    counts = _tile_counts(webpages_path, zoom).materialize()
+    n_t, s1, _ = _totals(counts, _count_totals, ("nt", "s1", "s2"))
+    if n_t == 0:
+        return ray.data.from_arrow(pa.table(
+            {c: pa.array([], pa.int64()) for c in
+             ("z", "x", "y", "n", "n_neighbors", "neigh_sum")}
+            | {"lift": pa.array([], pa.float64())}))
+    edges = _tile_edges(counts, zoom, nb)
 
-    KX = np.int64(1) << np.int64(26)
-    edges = tile_adjacency(webpages_path, zoom)
-    ds = _mentions(webpages_path, zoom)
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        x = b["x"].to_numpy().astype(np.int64)
-        y = b["y"].to_numpy().astype(np.int64)
-        key = x * KX + y
-        u, cnt = np.unique(key, return_counts=True)
-        return pa.table({
-            "key": pa.array(u), "n": pa.array(cnt.astype(np.int64)),
-            "ns": pa.array(np.zeros(len(u), np.int64)),
-            "k": pa.array(np.zeros(len(u), np.int64)),
-            "bucket": pa.array(bucket_of(u, nb))})
+    def own(b: pa.Table) -> pa.Table:
+        zero = np.zeros(b.num_rows, np.int64)
+        return pa.table({"key": b["key"], "n": b["n"], "ns": zero, "k": zero})
 
     def edge_scatter(b: pa.Table) -> pa.Table:
         ka = b["xa"].to_numpy() * KX + b["ya"].to_numpy()
         kb = b["xb"].to_numpy() * KX + b["yb"].to_numpy()
-        na = b["n_a"].to_numpy()
-        nbn = b["n_b"].to_numpy()
         key = np.concatenate([ka, kb])
-        ns = np.concatenate([nbn, na])  # each side gets the OTHER's n
-        k_, s1, s2 = _nsum(key, ns)
-        return pa.table({
-            "key": pa.array(k_), "n": pa.array(np.zeros(len(k_), np.int64)),
-            "ns": pa.array(s1.astype(np.int64)),
-            "k": pa.array(s2.astype(np.int64)),
-            "bucket": pa.array(bucket_of(k_, nb))})
+        # each side gets the OTHER's n, and one neighbor
+        ns = np.concatenate([b["n_b"].to_numpy(), b["n_a"].to_numpy()])
+        k_, s, c = sum_by_key(key, ns, np.ones(len(key), np.int64))
+        return pa.table({"key": k_, "n": np.zeros(len(k_), np.int64),
+                         "ns": s, "k": c})
 
     def merge(g: pa.Table) -> pa.Table:
-        key = g["key"].to_numpy()
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        n = g["n"].to_numpy()[order]
-        ns = g["ns"].to_numpy()[order]
-        k_ = g["k"].to_numpy()[order]
-        if len(key) == 0:
-            return pa.table({c: pa.array([], pa.int64())
-                             for c in ("key", "n", "ns", "k")})
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        return pa.table({
-            "key": pa.array(key[starts]),
-            "n": pa.array(np.add.reduceat(n, starts).astype(np.int64)),
-            "ns": pa.array(np.add.reduceat(ns, starts).astype(np.int64)),
-            "k": pa.array(np.add.reduceat(k_, starts).astype(np.int64))})
+        key, n, ns, k_ = sum_by_key(*(g[c].to_numpy()
+                                      for c in ("key", "n", "ns", "k")))
+        return pa.table({"key": key, "n": n, "ns": ns, "k": k_})
 
-    merged = ds.map_batches(count_partial, batch_format="pyarrow") \
-        .union(edges.map_batches(edge_scatter, batch_format="pyarrow")) \
-        .groupby("bucket").map_groups(merge, batch_format="pyarrow")
-
-    # global N and S1: the tile_moran aggregate (bounded partials)
-    def g_partial(b: pa.Table) -> pa.Table:
-        x = b["x"].to_numpy().astype(np.int64)
-        y = b["y"].to_numpy().astype(np.int64)
-        key = x * KX + y
-        u, cnt = np.unique(key, return_counts=True)
-        return pa.table({"key": pa.array(u),
-                         "n": pa.array(cnt.astype(np.int64)),
-                         "bucket": pa.array(bucket_of(u, nb))})
-
-    def g_merge(g: pa.Table) -> pa.Table:
-        key = g["key"].to_numpy()
-        n = g["n"].to_numpy()
-        order = np.argsort(key, kind="stable")
-        key, n = key[order], n[order]
-        if len(key) == 0:
-            return pa.table({"nt": pa.array([], pa.int64()),
-                             "s1": pa.array([], pa.int64())})
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        tot = np.add.reduceat(n, starts)
-        return pa.table({"nt": pa.array([len(starts)], pa.int64()),
-                         "s1": pa.array([int(tot.sum())], pa.int64())})
-
-    gagg = _mentions(webpages_path, zoom) \
-        .map_batches(g_partial, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(g_merge, batch_format="pyarrow") \
-        .aggregate(Sum("nt", alias_name="nt"), Sum("s1", alias_name="s1"))
-    n_t = int(gagg["nt"])
-    s1 = int(gagg["s1"])
+    merged = exchange(
+        counts.map_batches(own, batch_format="pyarrow")
+        .union(edges.map_batches(edge_scatter, batch_format="pyarrow")),
+        "key", merge, nb)
 
     def finalize(b: pa.Table) -> pa.Table:
         key = b["key"].to_numpy()
@@ -1211,14 +1117,3 @@ def tile_hotspots(webpages_path: str, zoom: int = 12) -> ray.data.Dataset:
             "lift": pa.array(lift6)})
 
     return merged.map_batches(finalize, batch_format="pyarrow")
-
-
-def _nsum(key: np.ndarray, val: np.ndarray):
-    """(unique sorted keys, per-key sums, per-key counts)."""
-    order = np.argsort(key, kind="stable")
-    k = key[order]
-    if len(k) == 0:
-        return k, val[:0], val[:0]
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    return (k[starts], np.add.reduceat(val[order], starts),
-            np.diff(np.append(starts, len(k))))

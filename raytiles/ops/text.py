@@ -15,7 +15,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import cached_ref, derive_buckets, exchange, run_starts
+from ..util import (cached_ref, derive_buckets, exchange, run_rank,
+                    run_starts)
 
 TOKEN_RE = r"[0-9A-Za-z_]+"
 STOP_RE = r"\b(?:the|a|of|and|to)\b"
@@ -305,10 +306,7 @@ def doc_top_terms(sf_dir: str, k: int = 5) -> ray.data.Dataset:
         tf = tf.sort_by([("doc_id", "ascending"), ("tf", "descending"),
                          ("token", "ascending")])
         doc = tf["doc_id"].to_numpy()
-        new = run_starts(doc)
-        starts = np.flatnonzero(new)
-        rank = np.arange(len(doc), dtype=np.int64) \
-            - starts[np.cumsum(new) - 1] + 1
+        rank = run_rank(run_starts(doc)) + 1
         keep = rank <= k
         return pa.table({"doc_id": doc[keep],
                          "token": tf["token"].filter(pa.array(keep)),
@@ -441,9 +439,8 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         new = run_starts(tok)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
-        rank = np.arange(n, dtype=np.int64) - starts[seg]
         df = np.diff(np.append(starts, n))
-        keep = rank < k
+        keep = run_rank(new) < k
         kept_seg = seg[keep]
         offs = np.append(0, np.cumsum(np.bincount(kept_seg,
                                                   minlength=len(starts))))
@@ -472,11 +469,7 @@ def inverted_index(sf_dir: str, k: int = 16) -> ray.data.Dataset:
         tcode = inv[parent]
         order = np.lexsort((flat, tcode))
         tc, fv = tcode[order], flat[order]
-        new = run_starts(tc)
-        starts = np.flatnonzero(new)
-        rank = np.arange(len(tc), dtype=np.int64) \
-            - starts[np.cumsum(new) - 1]
-        keep = rank < k
+        keep = run_rank(run_starts(tc)) < k
         s = pd.Series(fv[keep].astype(str))
         postings = s.groupby(tc[keep]).agg(",".join)
         out_tok = ut[postings.index.to_numpy()]
@@ -1369,11 +1362,7 @@ def char_trigrams(sf_dir: str, k: int = 20) -> pd.DataFrame:
         # desc, key asc) and keep each lang's first k rows
         order = np.lexsort((key, -tot, lang))
         lang, key, tot = lang[order], key[order], tot[order]
-        lfirst = run_starts(lang)
-        lsizes = np.diff(np.append(np.flatnonzero(lfirst), len(lang)))
-        rank = np.arange(len(lang)) - np.repeat(
-            np.flatnonzero(lfirst), lsizes)
-        keep = rank < k
+        keep = run_rank(run_starts(lang)) < k
         return pa.table({"lang": pa.array(lang[keep], pa.string()),
                          "key": pa.array(key[keep].astype(np.int64)),
                          "n": pa.array(tot[keep].astype(np.int64))})
@@ -1473,27 +1462,21 @@ def zipf_slope(sf_dir: str, topn: int = 100) -> ray.data.Dataset:
             "tf": pc.cast(tf["tf"], pa.int64()),
             "h": pa.array(h.view(np.int64))})
 
-    def _rank(src: np.ndarray) -> np.ndarray:
-        """1-based row rank within each run of equal ``src``."""
-        new = run_starts(src)
-        starts = np.flatnonzero(new)
-        return np.arange(len(src), dtype=np.int64) \
-            - starts[np.cumsum(new) - 1] + 1
-
     def merge_bucket(g: pa.Table) -> pa.Table:
         m = pa.TableGroupBy(g.select(["source", "token", "tf"]),
                             ["source", "token"]).aggregate([("tf", "sum")]) \
             .rename_columns(["source", "token", "tf"])
         m = m.sort_by([("source", "ascending"), ("tf", "descending"),
                        ("token", "ascending")])
-        return m.filter(pa.array(_rank(np.asarray(m["source"])) <= topn))
+        return m.filter(pa.array(
+            run_rank(run_starts(np.asarray(m["source"]))) < topn))
 
     def finalize(b: pa.Table) -> pa.Table:
         m = b.sort_by([("source", "ascending"), ("tf", "descending"),
                        ("token", "ascending")])
         src = np.asarray(m["source"])
         tf = m["tf"].to_numpy(zero_copy_only=False)
-        rank = _rank(src)
+        rank = run_rank(run_starts(src)) + 1
         keep = rank <= topn
         src, tf, rank = src[keep], tf[keep], rank[keep]
         xi = np.floor(np.log(rank.astype(np.float64)) * 1e6 + 0.5) \

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..util import cogroup, derive_buckets, exchange, run_starts
+from ..util import cogroup, derive_buckets, exchange, run_rank, run_starts
 from .text import NON_TOKEN_RE, _tokens_table
 
 HOST_RE = r"^https?://(?P<host>[^/]+)/"
@@ -398,11 +398,7 @@ def per_source_cap(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     def _cap(t: pa.Table) -> pa.Table:
         t = t.sort_by([("source", "ascending"), ("doc_id", "ascending")])
         s = t["source"].to_numpy(zero_copy_only=False)
-        change = run_starts(s)
-        starts = np.flatnonzero(change)
-        gidx = np.cumsum(change) - 1
-        rank = np.arange(s.size) - starts[gidx]
-        return t.filter(pa.array(rank < k))
+        return t.filter(pa.array(run_rank(run_starts(s)) < k))
 
     def partial(b: pa.Table) -> pa.Table:
         return _with_md5(_cap(b.select(["source", "doc_id"])), "source", "sh")

@@ -28,7 +28,7 @@ import ray.data
 
 from ..geo import tilemath as tm
 from ..geo.parse import GeoParser
-from ..util import bucket_of, input_bytes, layout
+from ..util import exchange, input_bytes, layout
 from .encode_stage import FastPointEncoder
 from .stages import (N_MERGE_BUCKETS, TileAssigner, merge_tile_partials,
                      pack_tile_partials)
@@ -272,7 +272,7 @@ def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
     """Per-cell mention + distinct-doc counts, DISTRIBUTED (round 1
     aggregated on the driver — the one gate operator that wasn't):
     the per-batch partial collapses to one row per (cell, url, batch),
-    then ONE bounded-bucket groupby counts vectorized within buckets.
+    then ONE exchange on the cell counts vectorized within buckets.
     Distinct-url counting is exact because a cell's rows all land in
     the same bucket (bucket is a pure function of the cell id)."""
     def partial(b: pa.Table) -> pa.Table:
@@ -281,9 +281,7 @@ def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
         part = pa.TableGroupBy(t, ["cell_r5", "url"]).aggregate(
             [([], "count_all")])
         part = part.rename_columns(["cell_r5", "url", "n"])
-        bucket = bucket_of(part["cell_r5"].to_numpy(), _CELL_BUCKETS)
-        return part.set_column(2, "n", pc.cast(part["n"], pa.int64())) \
-            .append_column("bucket", pa.array(bucket))
+        return part.set_column(2, "n", pc.cast(part["n"], pa.int64()))
 
     def merge(g: pa.Table) -> pa.Table:
         out = pa.TableGroupBy(g.select(["cell_r5", "url", "n"]),
@@ -295,7 +293,7 @@ def cell_counts_pipeline(webpages_path: str, res: int = 5) -> ray.data.Dataset:
                          "n_docs": pc.cast(out["n_docs"], pa.int64())})
 
     partials, _ = mentions(webpages_path, then=partial)
-    return partials.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(partials, "cell_r5", merge, _CELL_BUCKETS)
 
 
 def assignments_pipeline(webpages_path: str, zoom: int = DEFAULT_ZOOM) -> ray.data.Dataset:

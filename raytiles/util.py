@@ -7,8 +7,9 @@ place that mixing lives so every operator derives buckets the same way
 (never Python hash(), which is salted per process), and the one place
 that sizes layouts: ``layout`` for read blocks and reducers,
 ``derive_buckets`` for every op's bucket count. ``exchange`` is the
-one way to write a one-input hash-bucket exchange and ``run_starts``
-the one way to write a run scan over sorted keys; ``cogroup`` and
+one way to write a one-input hash-bucket exchange, ``run_starts``
+the one way to write a run scan over sorted keys and ``run_rank`` a
+row's position in its run; ``cogroup`` and
 ``join`` are the one path every two-input equi-join takes.
 """
 
@@ -139,6 +140,14 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
     for k in keys:
         new[1:] |= k[1:] != k[:-1]
     return new
+
+
+def run_rank(mask: np.ndarray) -> np.ndarray:
+    """0-based int64 position of each row within its run, given a
+    ``run_starts`` mask: 0 at every run start, then 1, 2, ... up to the
+    next one. ``run_rank(m) < k`` keeps each run's first k rows."""
+    idx = np.arange(len(mask), dtype=np.int64)
+    return idx - np.maximum.accumulate(np.where(mask, idx, 0))
 
 
 def sum_by_key(key: np.ndarray, *vals: np.ndarray):

@@ -25,6 +25,7 @@ OPS = [
     ("warehouse", "custdist", "sf"),
     ("sketch", "heavy_hitters", "sf"),
     ("spatial", "tile_hotspots", "wp"),
+    ("spatial", "comention_edges", "wp"),
     ("raster", "point_clusters", "wp"),
     ("profile", "profile_table", "sf"),
     ("partdim", "brand_type_stats", "sf"),

@@ -6,8 +6,8 @@ and reducer counts follow the input's on-disk size, never the cluster.
   reducers than read blocks;
 - small inputs get fewer, larger blocks; unsized inputs keep 64;
 - the encoded tiles do not depend on the reducer count;
-- the exchange primitives: ``run_starts`` equals a per-row loop, and
-  ``exchange`` hands each bucket's rows to one call.
+- the exchange primitives: ``run_starts`` and ``run_rank`` equal a
+  per-row loop, and ``exchange`` hands each bucket's rows to one call.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 
 from raytiles.util import (MAX_REDUCERS, MIN_BLOCK_BYTES, TARGET_BLOCK_BYTES,
                            bucket_of, derive_buckets, exchange, input_bytes,
-                           layout, run_starts)
+                           layout, run_rank, run_starts)
 
 
 def _sizes() -> list[int]:
@@ -125,9 +125,13 @@ def test_tiles_independent_of_reducer_count(tmp_path):
     assert (one["n_features"] == wide["n_features"]).all()
 
 
-def _run_starts_loop(*keys) -> np.ndarray:
-    return np.array([i == 0 or any(k[i] != k[i - 1] for k in keys)
-                     for i in range(len(keys[0]))], dtype=bool)
+def _run_starts_loop(*keys):
+    """(run-start mask, 0-based in-run rank) of sorted keys, row by row."""
+    new, rank = [], []
+    for i in range(len(keys[0])):
+        new.append(i == 0 or any(k[i] != k[i - 1] for k in keys))
+        rank.append(0 if new[-1] else rank[-1] + 1)
+    return np.array(new, dtype=bool), np.array(rank, dtype=np.int64)
 
 
 @pytest.mark.parametrize("n_keys", [1, 2, 3])
@@ -138,12 +142,17 @@ def test_run_starts_matches_row_loop(n_keys):
                 rng.choice(np.array(["a", "bb", "c"]), n),
                 rng.integers(-3, 3, n)][:n_keys]
         order = np.lexsort(keys[::-1])
-        keys = [k[order] for k in keys]
-        want = _run_starts_loop(*keys)
-        for ks in (keys, [k.astype(object) for k in keys]):
-            got = run_starts(*ks)
-            assert got.dtype == bool and len(got) == n
-            assert np.array_equal(got, want)
+        several = [k[order] for k in keys]
+        one_run = [np.full(n, 7)] * n_keys
+        for keys in (several, one_run):
+            want, want_rank = _run_starts_loop(*keys)
+            for ks in (keys, [k.astype(object) for k in keys]):
+                got = run_starts(*ks)
+                assert got.dtype == bool and len(got) == n
+                assert np.array_equal(got, want)
+            rank = run_rank(want)
+            assert rank.dtype == np.int64
+            assert np.array_equal(rank, want_rank)
     assert run_starts(np.array([5])).tolist() == [True]
 
 

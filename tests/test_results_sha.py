@@ -17,13 +17,17 @@ SF = "/root/testdata/sf0.01"
 # run_starts: a float partial merge, a row exchange, multi-key run
 # scans, an exchange into one merge, two exchanges of one partial, two
 # chained exchanges, the re-exchange of a merge output, the HLL
-# register exchange and an id-bucket exchange with a broadcast carry
+# register exchange and an id-bucket exchange with a broadcast carry;
+# from host_bbox on: an md5 string key, a pair partial exchanged on its
+# first cell, two partials unioned into one exchange, and per-tile
+# bytes that depend on the order of a tile's segments
 SPOT = ["pricing_summary", "top_customers", "events_hourly",
         "events_asof", "props_extract", "hdr_quantiles", "exact_dedup",
         "minhash_bands", "tile_counts", "char_trigrams",
         "user_features", "funnel_conversion", "events_ohlc",
         "event_transitions", "type_affinity", "dup_spans", "source_kl",
-        "hll_sketches", "pack_sequences"]
+        "hll_sketches", "pack_sequences", "host_bbox",
+        "comention_edges", "tile_hotspots", "isolines_mvt"]
 
 
 @pytest.mark.usefixtures("ray_session")

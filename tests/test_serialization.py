@@ -241,6 +241,8 @@ EXCHANGES_ON_UTIL = {
     "sketch": {},
     "webcorpus": {},
     "tokenizer": {},
+    "spatial": {},
+    "raster": {},
 }
 
 
@@ -249,8 +251,10 @@ def test_exchanges_on_util():
     EXCHANGES_ON_UTIL each one-input hash-bucket exchange is
     ``util.exchange`` and each run scan is ``util.run_starts``. Fails
     on a ``groupby`` of a column whose name contains ``bucket`` (or is
-    ``shard``) or a hand-written ``k[1:] != k[:-1]`` (or ``==``,
-    either order) scan outside the module's allowed functions."""
+    ``shard``), a bucket column computed by hand (``bucket_of`` or
+    ``stages.tile_bucket``) or a hand-written ``k[1:] != k[:-1]`` (or
+    ``==``, either order) scan outside the module's allowed
+    functions."""
     import ast
     import pathlib
     ops = pathlib.Path(__file__).resolve().parent.parent / "raytiles" / "ops"
@@ -280,6 +284,12 @@ def test_exchanges_on_util():
         col = node.args[0].value
         return "bucket" in col or col == "shard"
 
+    def is_bucket_fn(node):
+        names = {"bucket_of", "tile_bucket"}
+        if isinstance(node, ast.ImportFrom):
+            return any(a.name in names for a in node.names)
+        return isinstance(node, ast.Name) and node.id in names
+
     offenders = []
     for module, allowed in EXCHANGES_ON_UTIL.items():
         tree = ast.parse((ops / f"{module}.py").read_text())
@@ -290,6 +300,8 @@ def test_exchanges_on_util():
             for node in ast.walk(top):
                 if is_bucket_groupby(node):
                     offenders.append(f"{name}:{node.lineno} groupby")
+                if is_bucket_fn(node):
+                    offenders.append(f"{name}:{node.lineno} bucket column")
                 if is_scan(node):
                     offenders.append(f"{name}:{node.lineno} run scan")
     assert not offenders, offenders

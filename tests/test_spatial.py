@@ -426,36 +426,56 @@ def test_tile_moran_clustered_positive():
     assert abs(row["expected_i"] - (-1.0 / (row["n_tiles"] - 1))) < 1e-6
 
 
-@pytest.mark.parametrize("texts", [
-    ["no coordinates in this page"],                        # empty
-    ["located at 37.7749, -122.4194"],                      # N = 1
-    ["located at 37.7749, -122.4194",
-     "located at -33.8688, 151.2093"],                      # no edges
-    ["located at 0.0100, 0.0100",
-     "located at 0.0100, 0.1000"],                          # den = 0
+# ops that must return zero rows, as their DuckDB twin does, on input
+# with no mentions; zonal_stats and cell_cover have no twin
+_NO_MENTIONS = ("tile_hotspots", "cell_compact", "zonal_stats",
+                "cell_cover", "hotspot_regions")
+# and on urls that have one mention each (no trajectory legs)
+_NO_LEGS = ("trajectory_lengths", "segment_bearings")
+
+
+@pytest.mark.parametrize("texts,ops", [
+    (["no coordinates in this page"], ("tile_moran",) + _NO_MENTIONS),
+    (["located at 37.7749, -122.4194"], ("tile_moran",)),     # N = 1
+    (["located at 37.7749, -122.4194",
+      "located at -33.8688, 151.2093"], ("tile_moran",) + _NO_LEGS),
+    (["located at 0.0100, 0.0100",
+      "located at 0.0100, 0.1000"], ("tile_moran",)),         # den = 0
 ], ids=["empty", "one_tile", "no_edges", "equal_counts"])
-def test_tile_moran_degenerate_matches_twin(tmp_path, texts):
-    """Degenerate inputs give the DuckDB twin's row (x / 0 is NULL
-    there) instead of raising."""
+def test_tile_moran_degenerate_matches_twin(tmp_path, texts, ops):
+    """Degenerate inputs give each op's DuckDB twin rows (x / 0 is
+    NULL there) instead of raising: tile_moran on every case, the ops
+    of _NO_MENTIONS on input without mentions and those of _NO_LEGS on
+    two one-mention urls (no edges either), where they return zero
+    rows."""
     import duckdb
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from raytiles.oracles import tile_moran_sql
-    from raytiles.ops.spatial import tile_moran
+    from raytiles import oracles
+    from raytiles.ops import spatial
 
     wp = tmp_path / "webpages.parquet"
     wp.mkdir()
     pq.write_table(pa.table({
         "url": [f"https://h{i}.example/p" for i in range(len(texts))],
         "text": texts}), wp / "part-0.parquet")
-    got = tile_moran(str(wp), 12).to_pandas()
-    want = duckdb.sql(tile_moran_sql(str(wp), 12)).df()
-    assert len(got) == len(want) == 1
-    for c in ("n_tiles", "w_sum", "moran_i", "expected_i"):
-        g, w = got[c].iloc[0], want[c].iloc[0]
-        assert (pd.isna(g) and pd.isna(w)) or g == w, (c, g, w)
+    for op in ops:
+        res = getattr(spatial, op)(str(wp))
+        got = res if isinstance(res, pd.DataFrame) else res.to_pandas()
+        twin = getattr(oracles, f"{op}_sql", None)
+        if twin is None:
+            assert len(got) == 0, op
+            continue
+        want = duckdb.sql(twin(str(wp))).df()
+        # Ray's to_pandas drops the columns of a dataset with no rows
+        cols = list(got.columns) or res.schema().names
+        assert sorted(cols) == sorted(want.columns), op
+        assert len(got) == len(want) == (op == "tile_moran"), op
+        for c in cols if len(want) else ():  # tile_moran's one row
+            g, w = got[c].iloc[0], want[c].iloc[0]
+            assert (pd.isna(g) and pd.isna(w)) or g == w, (op, c, g, w)
 
 
 def test_tile_components_match_union_find():
